@@ -4,10 +4,17 @@ All three are lower-tail t-tests for the unit-root coefficient.  Their
 critical values are not tabulated here; they are simulated from the null
 (random walk, iid standard normal innovations, no deterministics) at the
 test's own sample size with 100,000 replications under a fixed internal
-seed, and cached on disk in the ``urblock-basetable v1`` format.  Table
-generation uses batched normal-equation least squares over replication
-chunks; the per-series test path uses the QR solver, and the two routes
-are cross-checked in the test suite.
+seed, and cached on disk, at six decimals, in the ``urblock-basetable
+v1`` format.
+
+The per-series test path fits by QR (``core.ols``).  Null tables are
+built over (reps, T) chunks of replications.  Fixed-lag tables detrend
+and fit every replication by normal equations.  BIC tables share that
+detrending, pick each replication's lag with the stacked-QR selector
+``core.select_lag_bic_batch``, and fit the statistic at that lag by
+stacked QR (``core.ols_tstat_batch``) on the sample the per-series path
+uses.  The test suite cross-checks both table routes against the
+per-series path.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSeries, RngStream, as_series, ols
+from .core import DegenerateSeries, RngStream, as_series, lagged_design, ols
+from .core import ols_tstat_batch, select_lag_bic_batch
 from .limits import table_dir
 from .testkit import LagSpec, TestOutcome
 
@@ -44,8 +52,14 @@ BASE_ALPHAS = (0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01, 0.001)
 
 _BASE_HEADER = "urblock-basetable v1"
 _BASE_FILE = "baseline_critical_values.txt"
+# Stored precision, applied to fresh quantiles too: cold and warm agree.
+_QUANTILE_FMT = ".6f"
 
 _MIN_T = {"adf": 25, "df-gls": 25, "df-gls-trend": 25, "el": 30}
+
+# Values (rows x T) of a null-table chunk evaluated together on the BIC
+# path: 5,000 rows at T=100; a build peaks under 300 MB at T=100 and 300.
+_BIC_SUB_BATCH_CELLS = 500_000
 
 
 @dataclass(frozen=True)
@@ -56,6 +70,7 @@ class BaselineSpec:
     lag: LagSpec = LagSpec.fixed(0)
 
     def __post_init__(self):
+        object.__setattr__(self, "lag", LagSpec.coerce(self.lag))
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.lag.kind == "schwert":
@@ -66,35 +81,7 @@ class BaselineSpec:
 
 
 # ---------------------------------------------------------------------------
-# scalar statistic paths (QR solver)
-
-
-def _lagged_design(level, lag_diffs, response_diffs, extras, p, start):
-    """Rows t = start+2..T of the augmented regression.
-
-    ``level`` supplies the unit-root regressor (its value at t-1),
-    ``extras`` are columns already aligned with t = 2..T, and the lagged
-    differences come from ``lag_diffs``.  Column 0 is always the
-    unit-root coefficient.
-    """
-    T = level.shape[0]
-    resp = response_diffs[start:]
-    cols = [level[start : T - 1]]
-    cols.extend(e[start:] for e in extras)
-    cols.extend(lag_diffs[start - k : T - 1 - k] for k in range(1, p + 1))
-    return np.column_stack(cols), resp
-
-
-def _tstat_from_design(design, resp) -> float:
-    fit = ols(design, resp)
-    return fit.tstat(0)
-
-
-def _adf_stat(y: np.ndarray, p: int) -> float:
-    d = np.diff(y)
-    ones = np.ones(d.shape[0])
-    design, resp = _lagged_design(y, d, d, [ones], p, p)
-    return _tstat_from_design(design, resp)
+# test regressions
 
 
 def _gls_detrend(y: np.ndarray, trend: bool) -> np.ndarray:
@@ -123,13 +110,6 @@ def _gls_detrend(y: np.ndarray, trend: bool) -> np.ndarray:
     return detrended
 
 
-def _df_gls_stat(y: np.ndarray, p: int, trend: bool) -> float:
-    yd = _gls_detrend(y, trend)
-    dd = np.diff(yd)
-    design, resp = _lagged_design(yd, dd, dd, [], p, p)
-    return _tstat_from_design(design, resp)
-
-
 def _fourier_terms(T: int):
     t = np.arange(1, T + 1, dtype=np.float64)
     s = np.sin(2.0 * np.pi * t / T)
@@ -151,69 +131,91 @@ def _el_detrend(y: np.ndarray):
     return stilde, ds, dc
 
 
-def _el_stat(y: np.ndarray, p: int) -> float:
-    d = np.diff(y)
-    stilde, ds, dc = _el_detrend(y)
-    dst = np.diff(stilde)
-    ones = np.ones(d.shape[0])
-    design, resp = _lagged_design(stilde, dst, d, [ones, ds, dc], p, p)
-    return _tstat_from_design(design, resp)
+def _regression_parts(kind: str, y: np.ndarray):
+    """(level, lag_diffs, response_diffs, extras) of one series' test
+    regression, detrended with the QR solver."""
+    T = y.shape[0]
+    if kind == "adf":
+        d = np.diff(y)
+        return y, d, d, [np.ones(T - 1)]
+    if kind in ("df-gls", "df-gls-trend"):
+        yd = _gls_detrend(y, kind.endswith("trend"))
+        dd = np.diff(yd)
+        return yd, dd, dd, []
+    if kind == "el":
+        stilde, ds, dc = _el_detrend(y)
+        return stilde, np.diff(stilde), np.diff(y), [np.ones(T - 1), ds, dc]
+    raise ValueError(f"unknown baseline kind {kind!r}")
+
+
+def _batch_parts(kind: str, y: np.ndarray):
+    """(level, lag_diffs, response_diffs, extras) for a (reps, T) batch of
+    null series, detrended with normal equations; extras is (k, reps, T-1)."""
+    m, T = y.shape
+    d = np.diff(y, axis=1)
+
+    def extras(*cols):
+        k = len(cols)
+        return np.broadcast_to(np.reshape(cols, (k, 1, T - 1)), (k, m, T - 1))
+
+    if kind == "adf":
+        return y, d, d, extras(np.ones(T - 1))
+
+    if kind in ("df-gls", "df-gls-trend"):
+        trend = kind.endswith("trend")
+        cbar = CBAR_TREND if trend else CBAR_CONST
+        alpha_star = 1.0 - cbar / T
+        tt = np.arange(1, T + 1, dtype=np.float64)
+        z = np.column_stack([np.ones(T), tt]) if trend else np.ones((T, 1))
+        zc = np.vstack([z[0], z[1:] - alpha_star * z[:-1]])
+        yc = np.hstack([y[:, :1], y[:, 1:] - alpha_star * y[:, :-1]])
+        beta = np.linalg.solve(zc.T @ zc, zc.T @ yc.T).T
+        yd = y - beta @ z.T
+        dd = np.diff(yd, axis=1)
+        return yd, dd, dd, extras()
+
+    if kind == "el":
+        tt, s, c = _fourier_terms(T)
+        ds = np.diff(s)
+        dc = np.diff(c)
+        stage1 = np.column_stack([np.ones(T - 1), ds, dc])
+        delta = np.linalg.solve(stage1.T @ stage1, stage1.T @ d.T).T
+        dtrend = delta[:, :1] * tt + delta[:, 1:2] * s + delta[:, 2:3] * c
+        st = y - dtrend - (y[:, :1] - dtrend[:, :1])
+        return st, np.diff(st, axis=1), d, extras(np.ones(T - 1), ds, dc)
+
+    raise ValueError(f"unknown baseline kind {kind!r}")
+
+
+def _check_pmax(T: int, p_max: int) -> None:
+    if T - p_max < 20:
+        raise ValueError(f"p_max={p_max} leaves too few rows at T={T}")
+
+
+# ---------------------------------------------------------------------------
+# scalar statistic path (QR solver)
 
 
 def _stat(kind: str, y: np.ndarray, p: int) -> float:
-    if kind == "adf":
-        return _adf_stat(y, p)
-    if kind == "df-gls":
-        return _df_gls_stat(y, p, trend=False)
-    if kind == "df-gls-trend":
-        return _df_gls_stat(y, p, trend=True)
-    if kind == "el":
-        return _el_stat(y, p)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    design, resp = lagged_design(*_regression_parts(kind, y), p, p)
+    return ols(design, resp).tstat(0)
 
 
 def _select_lag(kind: str, y: np.ndarray, p_max: int) -> int:
     """BIC over the test's own regression on a common sample."""
-    T = y.shape[0]
-    if T - p_max < 20:
-        raise ValueError(f"p_max={p_max} leaves too few rows at T={T}")
-    if kind == "adf":
-        level, lag_d, resp_d = y, np.diff(y), np.diff(y)
-        extras = [np.ones(T - 1)]
-    elif kind in ("df-gls", "df-gls-trend"):
-        yd = _gls_detrend(y, kind.endswith("trend"))
-        level, lag_d, resp_d = yd, np.diff(yd), np.diff(yd)
-        extras = []
-    else:
-        stilde, ds, dc = _el_detrend(y)
-        level, lag_d, resp_d = stilde, np.diff(stilde), np.diff(y)
-        extras = [np.ones(T - 1), ds, dc]
-
-    n = T - p_max - 1
-    best_p, best_bic = 0, np.inf
-    for p in range(p_max + 1):
-        design, resp = _lagged_design(level, lag_d, resp_d, extras, p, p_max)
-        fit = ols(design, resp)
-        bic = (
-            -np.inf
-            if fit.ssr <= 0.0
-            else n * np.log(fit.ssr / n) + (design.shape[1]) * np.log(n)
-        )
-        if bic < best_bic:
-            best_p, best_bic = p, bic
-    return best_p
+    _check_pmax(y.shape[0], p_max)
+    parts = _regression_parts(kind, y)
+    design, resp = lagged_design(*parts, p_max, p_max)
+    return int(select_lag_bic_batch(design[None], resp[None], 1 + len(parts[3]))[0])
 
 
 # ---------------------------------------------------------------------------
-# batched null simulation (normal equations)
+# batched null simulation
 
 
-def _batched_tstat(cols, resp) -> np.ndarray:
-    """t-ratios of column 0 across a batch of regressions.
-
-    cols is a list of (m, n) arrays (one per regressor), resp is (m, n).
-    """
-    X = np.stack(cols, axis=2)
+def _batched_tstat(X, resp) -> np.ndarray:
+    """t-ratios of column 0 across a (m, n, k) stack of regressions, by
+    normal equations."""
     m, n, k = X.shape
     G = np.einsum("mnk,mnl->mkl", X, X, optimize=True)
     h = np.einsum("mnk,mn->mk", X, resp, optimize=True)
@@ -228,53 +230,34 @@ def _batched_tstat(cols, resp) -> np.ndarray:
 
 
 def _batch_stats(kind: str, y: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized statistics for a (reps, T) batch of null series."""
-    m, T = y.shape
-    d = np.diff(y, axis=1)
+    """Fixed-lag statistics for a (reps, T) batch of null series."""
+    return _batched_tstat(*lagged_design(*_batch_parts(kind, y), p, p))
 
-    if kind == "adf":
-        ones = np.ones((m, T - 1))
-        cols = [y[:, p : T - 1], ones[:, p:]]
-        cols += [d[:, p - k : T - 1 - k] for k in range(1, p + 1)]
-        return _batched_tstat(cols, d[:, p:])
 
-    if kind in ("df-gls", "df-gls-trend"):
-        trend = kind.endswith("trend")
-        cbar = CBAR_TREND if trend else CBAR_CONST
-        alpha_star = 1.0 - cbar / T
-        tt = np.arange(1, T + 1, dtype=np.float64)
-        z = np.column_stack([np.ones(T), tt]) if trend else np.ones((T, 1))
-        zc = np.vstack([z[0], z[1:] - alpha_star * z[:-1]])
-        yc = np.hstack([y[:, :1], y[:, 1:] - alpha_star * y[:, :-1]])
-        beta = np.linalg.solve(zc.T @ zc, zc.T @ yc.T).T
-        yd = y - beta @ z.T
-        dd = np.diff(yd, axis=1)
-        cols = [yd[:, p : T - 1]]
-        cols += [dd[:, p - k : T - 1 - k] for k in range(1, p + 1)]
-        return _batched_tstat(cols, dd[:, p:])
+def _batch_bic_stats(kind: str, y: np.ndarray, p_max: int):
+    """Statistics at each series' BIC lag for a (reps, T) batch, and the lags.
 
-    if kind == "el":
-        tt, s, c = _fourier_terms(T)
-        ds = np.diff(s)
-        dc = np.diff(c)
-        stage1 = np.column_stack([np.ones(T - 1), ds, dc])
-        delta = np.linalg.solve(stage1.T @ stage1, stage1.T @ d.T).T
-        dtrend = delta[:, :1] * tt + delta[:, 1:2] * s + delta[:, 2:3] * c
-        st = y - dtrend - (y[:, :1] - dtrend[:, :1])
-        dst = np.diff(st, axis=1)
-        ones = np.ones((m, T - 1))
-        bds = np.broadcast_to(ds, (m, T - 1))
-        bdc = np.broadcast_to(dc, (m, T - 1))
-        cols = [st[:, p : T - 1], ones[:, p:], bds[:, p:], bdc[:, p:]]
-        cols += [dst[:, p - k : T - 1 - k] for k in range(1, p + 1)]
-        return _batched_tstat(cols, d[:, p:])
-
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    The lag comes from one QR of each series' p_max design; each
+    statistic is then fitted, by stacked QR, on the sample that
+    :func:`_stat` uses at that lag, one stack per selected lag.
+    """
+    _check_pmax(y.shape[1], p_max)
+    parts = _batch_parts(kind, y)
+    chosen = select_lag_bic_batch(
+        *lagged_design(*parts, p_max, p_max), 1 + len(parts[3])
+    )
+    stats = np.empty(y.shape[0])
+    for p in np.unique(chosen):
+        rows = chosen == p
+        sub = [a[..., rows, :] for a in parts]
+        stats[rows] = ols_tstat_batch(*lagged_design(*sub, p, p))
+    return stats, chosen
 
 
 def _simulate_null_stats(kind: str, T: int, lag: LagSpec, reps: int, seed: int):
     """Null-distribution draws; chunk layout is fixed so output is
-    deterministic for a given seed regardless of the caller."""
+    deterministic for a given seed regardless of the caller.  BIC draws
+    are computed in sub-batches of a chunk's rows to bound memory."""
     out = np.empty(reps)
     chunk = max(1, int(4_000_000 // T))
     pos = 0
@@ -286,9 +269,12 @@ def _simulate_null_stats(kind: str, T: int, lag: LagSpec, reps: int, seed: int):
         if lag.kind == "fixed":
             out[pos : pos + m] = _batch_stats(kind, y, lag.value)
         else:
-            for i in range(m):
-                p = _select_lag(kind, y[i], lag.value)
-                out[pos + i] = _stat(kind, y[i], p)
+            step = max(1, _BIC_SUB_BATCH_CELLS // T)
+            for s in range(0, m, step):
+                rows = y[s : s + step]
+                out[pos + s : pos + s + rows.shape[0]] = _batch_bic_stats(
+                    kind, rows, lag.value
+                )[0]
         pos += m
         ci += 1
     return out
@@ -346,7 +332,7 @@ def _write_cache(path: str) -> None:
     for (kind, T, p) in sorted(_cache):
         quants = _cache[(kind, T, p)]
         for alpha in sorted(quants, reverse=True):
-            lines.append(f"{kind},{T},{p},{alpha:g},{quants[alpha]:.6f}")
+            lines.append(f"{kind},{T},{p},{alpha:g},{quants[alpha]:{_QUANTILE_FMT}}")
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -364,7 +350,8 @@ def baseline_critical_value(kind: str, T: int, lag: LagSpec, alpha: float) -> fl
         if quants is None:
             stats = _simulate_null_stats(kind, T, lag, NULL_TABLE_REPS, NULL_TABLE_SEED)
             quants = {
-                a: float(np.quantile(stats, a)) for a in BASE_ALPHAS
+                a: float(format(np.quantile(stats, a), _QUANTILE_FMT))
+                for a in BASE_ALPHAS
             }
             _cache[key] = quants
             _write_cache(path)
@@ -388,7 +375,8 @@ def warm_baseline_tables(specs, T: int, alpha: float) -> None:
 # public test entry points
 
 
-def _run(kind: str, series, lag: LagSpec, alpha: float) -> TestOutcome:
+def _run(kind: str, series, lag, alpha: float) -> TestOutcome:
+    lag = LagSpec.coerce(lag)
     y = as_series(series, min_length=_MIN_T[kind])
     T = y.shape[0]
     p = lag.value if lag.kind == "fixed" else _select_lag(kind, y, lag.value)

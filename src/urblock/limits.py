@@ -311,5 +311,6 @@ def default_crit_table() -> CritTable:
             _default_table_cache = CritTable.load(candidate)
             return _default_table_cache
     ref = importlib.resources.files("urblock.data").joinpath(_EMBEDDED_TABLE_FILE)
-    _default_table_cache = CritTable.load(ref.open("r"))
+    with ref.open("r") as fh:
+        _default_table_cache = CritTable.load(fh)
     return _default_table_cache

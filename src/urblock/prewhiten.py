@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSeries, LagTooLarge, OlsFit, as_series, ols
+from .core import DegenerateSeries, LagTooLarge, OlsFit, as_series, lagged_design
+from .core import ols, select_lag_bic_batch
 
 __all__ = ["PrewhitenFit", "fit_prewhiten", "select_lag_bic", "schwert_pmax"]
 
@@ -39,22 +40,6 @@ class PrewhitenFit:
     regression: OlsFit
 
 
-def _augmented_design(y: np.ndarray, d: np.ndarray, p: int, start: int):
-    """Design and response for dy_t on (y_{t-1}, lagged dys), t = start+2..T.
-
-    ``start`` is the highest lag used by any candidate (p for a single
-    fit, p_max for BIC comparison), fixing the estimation sample.
-    0-based: response d[start:], level column y[start:T-1], lag column k
-    is d[start-k : T-1-k].
-    """
-    T = y.shape[0]
-    response = d[start:]
-    cols = [y[start : T - 1]]
-    for k in range(1, p + 1):
-        cols.append(d[start - k : T - 1 - k])
-    return np.column_stack(cols), response
-
-
 def fit_prewhiten(series, p: int) -> PrewhitenFit:
     """Fit the augmented regression with p lags and whiten the series."""
     y = as_series(series)
@@ -69,7 +54,7 @@ def fit_prewhiten(series, p: int) -> PrewhitenFit:
     d = np.diff(y)
     if not np.any(d):
         raise DegenerateSeries("series is constant; regression undefined")
-    design, response = _augmented_design(y, d, p, p)
+    design, response = lagged_design(y, d, d, (), p, p)
     fit = ols(design, response)
     varphi = float(fit.coefficients[0])
     theta = fit.coefficients[1:].copy()
@@ -95,6 +80,8 @@ def select_lag_bic(series, p_max: int) -> int:
     All candidates are fitted over t = p_max+2..T (n = T - p_max - 1
     observations) so their sums of squared residuals are comparable;
     BIC(p) = n*ln(SSR/n) + (p+1)*ln(n).  Ties break toward smaller p.
+    Every candidate is a column prefix of the p_max design, so one QR
+    of that design scores them all.
     """
     y = as_series(series)
     T = y.shape[0]
@@ -106,21 +93,8 @@ def select_lag_bic(series, p_max: int) -> int:
     d = np.diff(y)
     if not np.any(d):
         raise DegenerateSeries("series is constant; lag selection undefined")
-    n = T - p_max - 1
-
-    best_p = 0
-    best_bic = np.inf
-    for p in range(p_max + 1):
-        design, response = _augmented_design(y, d, p, p_max)
-        fit = ols(design, response)
-        if fit.ssr <= 0.0:
-            bic = -np.inf
-        else:
-            bic = n * np.log(fit.ssr / n) + (p + 1) * np.log(n)
-        if bic < best_bic:
-            best_bic = bic
-            best_p = p
-    return best_p
+    design, response = lagged_design(y, d, d, (), p_max, p_max)
+    return int(select_lag_bic_batch(design[None], response[None], 1)[0])
 
 
 def schwert_pmax(T: int) -> int:

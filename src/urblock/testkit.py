@@ -16,6 +16,7 @@ order 0 reproduces the unwhitened statistics bit-for-bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,11 @@ class LagSpec:
     def schwert(cls) -> "LagSpec":
         return cls("schwert")
 
+    @classmethod
+    def coerce(cls, lag) -> "LagSpec":
+        """A LagSpec as given, or a plain integer as the fixed lag order."""
+        return lag if isinstance(lag, cls) else cls.fixed(operator.index(lag))
+
     def resolve(self, series) -> int:
         if self.kind == "fixed":
             return self.value
@@ -89,6 +95,7 @@ class TestSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
+        object.__setattr__(self, "lag", LagSpec.coerce(self.lag))
         if self.variant not in ("small-b", "fixed-b"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.alpha < 1.0:

@@ -8,6 +8,9 @@ itself.
 
 import numpy as np
 
+from urblock.baselines import _regression_parts
+from urblock.core import lagged_design, ols
+
 
 def block_stats_bruteforce(y, B):
     """Pooled block statistics via the literal double sum.
@@ -130,3 +133,42 @@ def fb_statistic_bruteforce(b, c, grid, rng):
 def rel_err(a, b):
     """Relative error with a unit floor, for 'to 1e-10 relative' checks."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _bic_loop(design_for, p_max):
+    """One QR fit per candidate lag on a common sample; ties keep the
+    smaller p.  ``design_for(p)`` returns that candidate's design and
+    response."""
+    best_p, best_bic = 0, np.inf
+    for p in range(p_max + 1):
+        design, response = design_for(p)
+        n, k = design.shape
+        fit = ols(design, response)
+        bic = -np.inf if fit.ssr <= 0.0 else n * np.log(fit.ssr / n) + k * np.log(n)
+        if bic < best_bic:
+            best_p, best_bic = p, bic
+    return best_p
+
+
+def select_lag_bic_loop(y, p_max):
+    """BIC lag order of the pre-whitening regression, candidate by candidate."""
+    y = np.asarray(y, dtype=np.float64)
+    d = np.diff(y)
+    return _bic_loop(lambda p: lagged_design(y, d, d, (), p, p_max), p_max)
+
+
+def baseline_lag_bic_loop(kind, y, p_max):
+    """BIC lag order of a baseline test's regression, candidate by candidate."""
+    parts = _regression_parts(kind, np.asarray(y, dtype=np.float64))
+    return _bic_loop(lambda p: lagged_design(*parts, p, p_max), p_max)
+
+
+def design_bic_loop(designs, responses, k0):
+    """BIC lag order of each regression in a stack of p_max designs whose
+    first k0 columns are always in, candidate by candidate."""
+    p_max = designs.shape[2] - k0
+    picks = [
+        _bic_loop(lambda p: (X[:, : k0 + p], r), p_max)
+        for X, r in zip(designs, responses)
+    ]
+    return np.array(picks)

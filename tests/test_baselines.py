@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import rel_err
+from oracles import baseline_lag_bic_loop, rel_err
+from urblock import baselines
 from urblock.baselines import (
     BASELINE_KINDS,
     NULL_TABLE_REPS,
     NULL_TABLE_SEED,
     BaselineSpec,
+    _batch_bic_stats,
     _batch_stats,
     _cache_path,
+    _select_lag,
     _stat,
     adf,
     baseline_critical_value,
@@ -39,6 +42,20 @@ class TestStatRoutes:
         assert batch.shape == (12,)
         for a, b in zip(batch, single):
             assert rel_err(a, b) < 1e-8, kind
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("T", [60, 100, 300])
+    def test_bic_route_matches_candidate_loop(self, bic_panels, kind, T):
+        # Both BIC routes pick the candidate loop's lag; the BIC table's
+        # statistics are the one-series statistics at that lag.
+        Y = bic_panels[T]
+        want = [baseline_lag_bic_loop(kind, y, 5) for y in Y]
+        assert [_select_lag(kind, y, 5) for y in Y] == want
+        stats, chosen = _batch_bic_stats(kind, Y, 5)
+        assert chosen.tolist() == want
+        assert len(set(want)) >= 3
+        single = np.array([_stat(kind, y, p) for y, p in zip(Y, want)])
+        assert np.all(np.abs(stats - single) <= 1e-12 * np.maximum(1.0, np.abs(single)))
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_shift_and_scale_invariance(self, kind):
@@ -111,15 +128,33 @@ class TestOutcomeContract:
         assert via_spec.critical_value == direct.critical_value
 
     def test_bic_lag_selection_bounds(self):
-        # Selection only; the full outcome path would simulate a separate
-        # 100k-draw null table for the BIC rule.
-        from urblock.baselines import _select_lag
-
-        for k in range(10):
-            y = walk(k, 150, seed=4400)
-            p = _select_lag("df-gls", y, 4)
-            assert 0 <= p <= 4
+        y = walk(5, 60, seed=4400)
+        out = run_baseline(y, BaselineSpec("adf", LagSpec.bic(5)))
+        p = out.diagnostics["p"]
+        assert 0 <= p <= 5
+        assert out.diagnostics["lag_rule"] == "bic5"
+        assert out.statistic == _stat("adf", y, p)
+        assert out.reject == (out.statistic < out.critical_value)
         assert BaselineSpec("df-gls", LagSpec.bic(4)).lag.label() == "bic4"
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda y, lag: adf(y, lag),
+            lambda y, lag: df_gls(y, lag, trend=True),
+            lambda y, lag: enders_lee(y, lag),
+            lambda y, lag: run_baseline(y, BaselineSpec("df-gls", lag)),
+        ],
+        ids=["adf", "df_gls", "enders_lee", "BaselineSpec"],
+    )
+    def test_integer_lag_is_fixed_lag(self, run):
+        y = walk(6, 90)
+        by_int, by_spec = run(y, 1), run(y, LagSpec.fixed(1))
+        assert by_int.statistic == by_spec.statistic
+        assert by_int.critical_value == by_spec.critical_value
+        assert by_int.diagnostics["lag_rule"] == "1"
+        with pytest.raises(TypeError):
+            run(y, 1.5)
 
     def test_alpha_not_tabulated(self):
         with pytest.raises(ValueError, match="not tabulated"):
@@ -146,13 +181,21 @@ class TestCacheFile:
         rows = [ln.split(",") for ln in lines[3:]]
         assert any(r[0] == "adf" and r[1] == "40" and r[2] == "0" for r in rows)
         # every stored fixed-lag quantile round-trips through the lookup;
-        # the file rounds to six decimals while the lookup serves the
-        # full-precision in-memory value, so match at the rounding width
+        # fresh quantiles are rounded to the file's six decimals before
+        # they are served, so the lookup returns exactly the stored value
         for kind, T, p, alpha, q in rows:
             if not p.isdigit():
                 continue
             got = baseline_critical_value(kind, int(T), LagSpec.fixed(int(p)), float(alpha))
-            assert got == pytest.approx(float(q), abs=5.0e-7)
+            assert got == float(q)
+
+    def test_cold_and_warm_lookups_agree(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("URBLOCK_TABLE_DIR", str(tmp_path))
+        cold = baseline_critical_value("adf", 80, LagSpec.fixed(1), 0.05)
+        # Forget the in-memory table, so the next lookup reads the file.
+        monkeypatch.setattr(baselines, "_cache_loaded_from", None)
+        warm = baseline_critical_value("adf", 80, LagSpec.fixed(1), 0.05)
+        assert cold == warm == -2.901706
 
     def test_quantiles_ordered(self):
         baseline_critical_value("df-gls", 40, LagSpec.fixed(0), 0.05)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import urblock
 from urblock.cli import main, read_series
 from urblock.core import RngStream
 from urblock.limits import CritTable
@@ -250,6 +252,11 @@ class TestSimulateCommand:
     def test_thread_count_never_changes_output(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SIM_CONFIG)
+        # The child runs in its own directory, where a relative PYTHONPATH
+        # entry does not resolve: put the imported package's directory first.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(urblock.__file__)))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
         outputs = []
         for threads, sub in ((1, "one"), (4, "four")):
             cwd = tmp_path / sub
@@ -263,6 +270,7 @@ class TestSimulateCommand:
                     "--out", "results.csv",
                 ],
                 cwd=cwd,
+                env=env,
                 capture_output=True,
                 text=True,
                 timeout=300,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import design_bic_loop
 from urblock.core import (
     BlockScheme,
     OlsFit,
@@ -9,7 +10,9 @@ from urblock.core import (
     SchemeInfeasible,
     as_series,
     ols,
+    ols_tstat_batch,
     resolve_blocklength,
+    select_lag_bic_batch,
 )
 
 
@@ -142,6 +145,58 @@ class TestOls:
         fit = ols([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0])
         assert isinstance(fit, OlsFit)
         assert fit.stderr.shape == (1,)
+
+
+class TestBatchedKernels:
+    """The stacked BIC selector and t-ratio against per-regression fits."""
+
+    @pytest.mark.parametrize("k0", [1, 2, 4])
+    def test_selector_matches_candidate_loop(self, k0):
+        g = RngStream(150, k0).generator()
+        m, n, K = 400, 40, k0 + 5
+        X = g.standard_normal((m, n, K))
+        # Responses loading on a random number of the lag columns, so
+        # that every p in 0..5 gets picked.
+        load = (np.arange(K - k0) < g.integers(0, K - k0 + 1, (m, 1))) * 0.6
+        y = X[:, :, :k0].sum(axis=2) + np.einsum("mnk,mk->mn", X[:, :, k0:], load)
+        y += g.standard_normal((m, n))
+        got = select_lag_bic_batch(X, y, k0)
+        assert np.array_equal(got, design_bic_loop(X, y, k0))
+        assert len(set(got)) == K - k0 + 1
+
+    def test_exact_tie_resolves_to_smaller_lag(self):
+        # Unit-vector columns factor exactly; the response lies in the span
+        # of the first two columns, so p = 1, 2, 3 all fit with SSR = 0 and
+        # tie at BIC = -inf.
+        n, K = 30, 4
+        X = np.zeros((1, n, K))
+        X[0, np.arange(K), np.arange(K)] = 1.0
+        y = np.zeros((1, n))
+        y[0, :2] = 1.0
+        assert design_bic_loop(X, y, 1)[0] == 1
+        assert select_lag_bic_batch(X, y, 1)[0] == 1
+
+    def test_rank_deficient_row_raises(self):
+        g = RngStream(151, 0).generator()
+        X = g.standard_normal((6, 30, 4))
+        y = g.standard_normal((6, 30))
+        X[3, :, 3] = X[3, :, 1]
+        with pytest.raises(RankDeficient):
+            select_lag_bic_batch(X, y, 1)
+        with pytest.raises(RankDeficient):
+            ols_tstat_batch(X, y)
+        with pytest.raises(RankDeficient):
+            ols(X[3], y[3])
+        select_lag_bic_batch(np.delete(X, 3, axis=0), np.delete(y, 3, axis=0), 1)
+
+    def test_tstat_matches_ols(self):
+        g = RngStream(152, 0).generator()
+        X = g.standard_normal((50, 35, 4))
+        y = X[:, :, 1] + g.standard_normal((50, 35))
+        got = ols_tstat_batch(X, y)
+        for t, Xi, yi in zip(got, X, y):
+            want = ols(Xi, yi).tstat(0)
+            assert abs(t - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestRngStream:

@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -12,6 +16,7 @@ from urblock.limits import (
     simulate_fb_statistic,
     simulate_sb_local_power,
 )
+from urblock import limits
 from urblock.limits import _fb_functional
 
 
@@ -173,6 +178,20 @@ class TestDefaultTable:
     def test_alpha_must_match_grid(self):
         with pytest.raises(ValueError, match="not tabulated"):
             default_crit_table().critical_value(0.2, 0.33)
+
+    def test_packaged_table_file_is_closed(self, monkeypatch):
+        monkeypatch.delenv("URBLOCK_TABLE_DIR")
+        monkeypatch.setattr(limits, "_default_table_cache", None)
+        # A ResourceWarning raised while an unclosed file is finalized
+        # reaches sys.unraisablehook, not the caller.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            tab = default_crit_table()
+            gc.collect()
+        assert not unraisable
+        assert tab.critical_value(0.2, 0.05) < 0
 
 
 class TestSbLocalPower:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import select_lag_bic_loop
 from urblock.core import LagTooLarge, RngStream
 from urblock.mc import DgpSpec, ErrorSpec, simulate_dgp
 from urblock.prewhiten import fit_prewhiten, schwert_pmax, select_lag_bic
@@ -109,6 +110,14 @@ class TestSelectLagBic:
     def test_deterministic(self):
         y = ar1_walk(7, 500)
         assert select_lag_bic(y, 5) == select_lag_bic(y, 5)
+
+
+    @pytest.mark.parametrize("T", [60, 100, 300])
+    def test_matches_candidate_loop(self, bic_panels, T):
+        got = [select_lag_bic(y, 5) for y in bic_panels[T]]
+        want = [select_lag_bic_loop(y, 5) for y in bic_panels[T]]
+        assert got == want
+        assert len(set(got)) >= 3
 
 
 class TestSchwert:

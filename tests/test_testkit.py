@@ -135,6 +135,18 @@ class TestRunTest:
         direct = tau_fb(y, 40)
         assert out.statistic == direct.statistic
 
+    def test_integer_lag_is_fixed_lag(self):
+        y = walk(12, 200)
+        scheme = BlockScheme.power_rule(0.7)
+        spec = TestSpec("small-b", scheme, lag=2)
+        assert spec == TestSpec("small-b", scheme, lag=LagSpec.fixed(2))
+        out = run_test(y, spec)
+        want = run_test(y, TestSpec("small-b", scheme, LagSpec.fixed(2)))
+        assert out.statistic == want.statistic
+        assert out.diagnostics["p"] == 2
+        with pytest.raises(TypeError):
+            TestSpec("small-b", scheme, lag="2")
+
     def test_lag_reduces_effective_length(self):
         y = walk(10, 200)
         spec = TestSpec(
