@@ -307,7 +307,3 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = (self.seed & _MASK64) | ((self.stream & _MASK64) << 64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, index: int) -> "RngStream":
-        """Substream for work item ``index`` (e.g. one MC replication)."""
-        return RngStream(self.seed, self.stream + index)

@@ -18,14 +18,13 @@ regenerates tables on demand, deterministically for any worker count.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
+import statistics
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
-from scipy.stats import norm
 
 from .core import RngStream
 
@@ -45,6 +44,11 @@ DEFAULT_ALPHA_GRID = (0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01, 0.001)
 
 _CRIT_HEADER = "urblock-crittable v1"
 _EMBEDDED_TABLE_FILE = "fb_critical_values.txt"
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF; erfc keeps relative accuracy in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def table_dir() -> str | None:
@@ -142,8 +146,9 @@ def _ou_path(dW: np.ndarray, b: float, c: float) -> np.ndarray:
     if c == 0.0:
         np.cumsum(dW, out=out[1:])
     else:
+        from scipy.signal import lfilter
         decay = np.exp(-c / (b * n))
-        out[1:] = signal.lfilter([1.0], [1.0, -decay], dW)
+        out[1:] = lfilter([1.0], [1.0, -decay], dW)
     return out
 
 
@@ -204,10 +209,7 @@ def _crit_chunk(seed: int, lo: int, hi: int, b_grid, grid: int) -> np.ndarray:
     sqrt_grid = np.sqrt(grid)
     for k in range(lo, hi):
         g = RngStream(seed, k).generator()
-        dW = g.standard_normal(grid) / sqrt_grid
-        W = np.empty(grid + 1)
-        W[0] = 0.0
-        np.cumsum(dW, out=W[1:])
+        W = _ou_path(g.standard_normal(grid) / sqrt_grid, b_grid[0], 0.0)
         s1 = np.concatenate(([0.0], np.cumsum(W)))
         s2 = np.concatenate(([0.0], np.cumsum(W * W)))
         for ib, b in enumerate(b_grid):
@@ -240,6 +242,7 @@ def build_crit_table(
     if threads <= 1:
         stats = _crit_chunk(seed, 0, reps, b_arr, grid)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         stats = np.empty((reps, b_arr.shape[0]))
         bounds = np.linspace(0, reps, 4 * threads + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -286,14 +289,15 @@ def simulate_sb_local_power(
     if variance_fn is None:
         drift = c * np.sqrt(3.0) / 2.0
     else:
-        i2, _ = integrate.quad(variance_fn, 0.0, 1.0, limit=200)
-        i4, _ = integrate.quad(lambda r: variance_fn(r) ** 2, 0.0, 1.0, limit=200)
+        from scipy.integrate import quad
+        i2, _ = quad(variance_fn, 0.0, 1.0, limit=200)
+        i4, _ = quad(lambda r: variance_fn(r) ** 2, 0.0, 1.0, limit=200)
         drift = c * np.sqrt(3.0) / 2.0 * i2 / np.sqrt(i4)
-    crit = norm.ppf(alpha)
+    crit = statistics.NormalDist().inv_cdf(alpha)
     if reps is not None and rng is not None:
         z = rng.generator().standard_normal(int(reps)) - drift
         return float(np.mean(z < crit))
-    return float(norm.cdf(crit + drift))
+    return normal_cdf(crit + drift)
 
 
 _default_table_cache: CritTable | None = None

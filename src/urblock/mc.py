@@ -31,11 +31,9 @@ import configparser
 import csv
 import dataclasses
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .baselines import BaselineSpec, run_baseline, warm_baseline_tables
 from .core import BlockScheme, RngStream, UrblockError
@@ -206,6 +204,7 @@ def simulate_dgp(spec: DgpSpec, rng) -> np.ndarray:
     with the pre-sample variance sigma^2(0) and run through a burn-in of
     100 observations.
     """
+    from scipy.signal import lfilter
     g = rng.generator() if isinstance(rng, RngStream) else rng
     T = spec.T
 
@@ -303,6 +302,9 @@ def run_experiment(
     if threads <= 1:
         rejections = _experiment_chunk(dgp, tests, alpha, seed, 0, reps)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        import scipy.signal  # noqa: F401 -- workers inherit it from the fork
+
         bounds = np.unique(np.linspace(0, reps, 4 * threads + 1).astype(int))
         jobs = [
             (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo

@@ -43,9 +43,9 @@ __all__ = [
 
 # Profile segments flatter than this (slope of eta per unit s) count as
 # flat; a run of more than MAX_FLAT_RUN consecutive flat segments makes
-# the inverse increment unbounded for practical purposes.  Runs up to
-# MAX_FLAT_RUN are structural: the estimated profile always starts with
-# two zero-variance segments.
+# the inverse increment unbounded for practical purposes.  The estimated
+# profile always starts with two zero-variance segments; these structural
+# segments are left out of the run count.
 MIN_PROFILE_SLOPE = 1e-9
 MAX_FLAT_RUN = 2
 
@@ -122,15 +122,9 @@ class VarianceProfile:
     def value(self, s):
         return np.interp(s, self.breakpoints, self.values)
 
-    def inverse(self, u):
-        return np.interp(u, self.values, self.breakpoints)
-
     @property
     def grid_size(self) -> int:
         return self.breakpoints.shape[0] - 1
-
-    def min_slope(self) -> float:
-        return float(np.min(np.diff(self.values)) * self.grid_size)
 
 
 @dataclass(frozen=True)
@@ -232,9 +226,9 @@ def time_transform(series, profile: VarianceProfile) -> np.ndarray:
     Raises ProfileDegenerate when the profile is flat (slope below
     MIN_PROFILE_SLOPE) over a run of more than MAX_FLAT_RUN consecutive
     grid segments: across such a stretch the inverse jumps an unbounded
-    number of observations in a single step.  Shorter flat runs are
-    structural — the first two segments of any estimated profile carry
-    no variance yet — and leave the inverse increments bounded.
+    number of observations in a single step.  The first two segments of
+    any estimated profile carry no variance yet; they are structural and
+    do not count towards a run.
     """
     y = as_series(series)
     T = y.shape[0]
@@ -243,6 +237,7 @@ def time_transform(series, profile: VarianceProfile) -> np.ndarray:
             f"profile grid size {profile.grid_size} does not match T={T}"
         )
     flat = np.diff(profile.values) * T < MIN_PROFILE_SLOPE
+    flat[:2] = False
     if flat.any():
         # Longest run of consecutive flat segments.
         edged = np.concatenate(([False], flat, [False]))

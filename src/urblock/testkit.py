@@ -17,10 +17,10 @@ order 0 reproduces the unwhitened statistics bit-for-bit.
 from __future__ import annotations
 
 import operator
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     BlockScheme,
@@ -28,7 +28,7 @@ from .core import (
     DegenerateSeries,
     as_series,
 )
-from .limits import CritTable, default_crit_table
+from .limits import CritTable, default_crit_table, normal_cdf
 from .nuisance import kappa2_hat, sigma2_hat, time_transform, variance_profile
 from .pooled import block_stats, pooled_fit
 from .prewhiten import fit_prewhiten, schwert_pmax, select_lag_bic
@@ -145,12 +145,12 @@ def tau_sb(series, B: int, alpha: float = 0.05) -> TestOutcome:
         raise DegenerateResiduals("kappa2 estimate is zero")
     v = v_factor(B, T)
     stat = fit.stats.y1 / (np.sqrt(kappa2) * v * np.sqrt(fit.stats.y2))
-    crit = float(norm.ppf(alpha))
+    crit = statistics.NormalDist().inv_cdf(alpha)
     return TestOutcome(
         statistic=float(stat),
         critical_value=crit,
         reject=bool(stat < crit),
-        p_value=float(norm.cdf(stat)),
+        p_value=normal_cdf(stat),
         diagnostics={
             "variant": "small-b",
             "B": B,

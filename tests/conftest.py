@@ -9,11 +9,14 @@ per sample size.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import urblock
 from urblock.core import RngStream
 from urblock.testkit import TestOutcome, TestSpec
 
@@ -41,6 +44,32 @@ def hermetic_table_dir(tmp_path_factory):
         os.environ.pop("URBLOCK_TABLE_DIR", None)
     else:
         os.environ["URBLOCK_TABLE_DIR"] = old
+
+
+@pytest.fixture
+def run_child():
+    """Run a fresh Python interpreter on ``args``; its standard output.
+
+    The child may run in another directory, where a relative PYTHONPATH
+    entry does not resolve: put the imported package's directory first.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(urblock.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+
+    def run(args, cwd=None) -> str:
+        proc = subprocess.run(
+            [sys.executable, *args],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,14 +1,11 @@
 import io
 import json
-import os
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-import urblock
 from urblock.cli import main, read_series
 from urblock.core import RngStream
 from urblock.limits import CritTable
@@ -165,6 +162,23 @@ class TestTestCommand:
         assert "statistic" in capsys.readouterr().out
 
 
+    def test_cold_test_command_loads_no_scipy(self, tmp_path, run_child):
+        # scipy serves only the simulators; a one-shot test never loads it.
+        p = tmp_path / "y.csv"
+        write_walk(p, T=120)
+        script = (
+            "import sys\n"
+            "import urblock.cli\n"
+            f"path = {str(p)!r}\n"
+            "for kind, lags in (('tau-sb', 'bic'), ('tau-fb', 'bic'), ('adf', '1')):\n"
+            "    argv = ['test', path, '--test', kind, '--lags', lags]\n"
+            "    assert urblock.cli.main(argv) == 0\n"
+            "print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = run_child(["-c", script])
+        assert out.splitlines()[-1] == "loaded:"
+
+
 class TestCritvalsCommand:
     ARGS = [
         "critvals",
@@ -249,32 +263,22 @@ class TestSimulateCommand:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_thread_count_never_changes_output(self, tmp_path):
+    def test_thread_count_never_changes_output(self, tmp_path, run_child):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SIM_CONFIG)
-        # The child runs in its own directory, where a relative PYTHONPATH
-        # entry does not resolve: put the imported package's directory first.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(urblock.__file__)))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=pythonpath)
         outputs = []
         for threads, sub in ((1, "one"), (4, "four")):
             cwd = tmp_path / sub
             cwd.mkdir()
-            proc = subprocess.run(
+            run_child(
                 [
-                    sys.executable, "-m", "urblock.cli", "simulate",
+                    "-m", "urblock.cli", "simulate",
                     "--config", str(cfg),
                     "--seed", "7",
                     "--threads", str(threads),
                     "--out", "results.csv",
                 ],
                 cwd=cwd,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
             )
-            assert proc.returncode == 0, proc.stderr
             outputs.append((cwd / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]

@@ -212,13 +212,6 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_child_streams(self):
-        s = RngStream(9, 1)
-        a = s.child(3).generator().standard_normal(8)
-        b = RngStream(9, 1).child(3).generator().standard_normal(8)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, s.child(4).generator().standard_normal(8))
-
     def test_generator_is_fresh_each_call(self):
         s = RngStream(11, 0)
         a = s.generator().standard_normal(16)

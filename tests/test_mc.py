@@ -249,6 +249,19 @@ class TestRunExperiment:
         assert res.rates[0] > res.rates[1] + 0.02, res.rates
 
 
+    def test_parent_imports_dgp_filter_before_forking(self, run_child):
+        # Forked workers inherit the parent's modules; without this import
+        # each worker would pay for scipy.signal on its first draw.
+        script = (
+            "import sys\n"
+            "from urblock.mc import DgpSpec, parse_test_id, run_experiment\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "run_experiment(DgpSpec(T=60), [parse_test_id('tau-sb')], reps=8, seed=1, threads=2)\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        assert run_child(["-c", script]).splitlines()[-1] == "True"
+
+
 class TestEmitTable:
     def run_small(self, seed=5300):
         return run_experiment(

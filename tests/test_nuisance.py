@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import eta_bruteforce, kappa2_bruteforce, rel_err, sigma2_bruteforce
-from urblock.core import BadBlocklength, DegenerateResiduals, RngStream
+from urblock.core import BadBlocklength, DegenerateResiduals, ProfileDegenerate, RngStream
 from urblock.nuisance import (
+    MIN_PROFILE_SLOPE,
     VarianceProfile,
     invert_profile,
     kappa2_hat,
@@ -13,6 +14,7 @@ from urblock.nuisance import (
     variance_profile,
 )
 from urblock.pooled import pooled_fit
+from urblock.testkit import tau_fb
 
 STEP_LAMBDA = 3.0
 
@@ -225,6 +227,34 @@ class TestTimeTransform:
         prof = VarianceProfile(breakpoints=grid, values=grid.copy())
         with pytest.raises(ValueError):
             time_transform(y, prof)
+
+    def test_tiny_third_increment_is_not_degenerate(self):
+        # The first two profile segments are flat by construction; a
+        # near-tie between the second and third residuals adds a third
+        # near-flat segment, which must not count as a degenerate run.
+        u = RngStream(707, 0).generator().standard_normal(300)
+        u[2] = u[1] + 1e-6
+        prof = variance_profile(u)
+        assert np.diff(prof.values)[2] * 300 < MIN_PROFILE_SLOPE
+        out = time_transform(np.cumsum(u), prof)
+        assert np.all(np.isfinite(out))
+
+        # The same near-tie in the pooled residuals of a random walk.
+        y = np.cumsum(RngStream(707, 1).generator().standard_normal(300))
+        for _ in range(4):
+            rho = pooled_fit(y, 60).rho_hat
+            y[2] = y[1] + rho * (y[1] - y[0]) + 1e-6
+        cr = pooled_fit(y, 60).centered_residuals
+        assert abs(cr[2] - cr[1] - 1e-6) < 1e-9
+        assert np.isfinite(tau_fb(y, 60).statistic)
+
+    def test_flat_stretch_still_degenerate(self):
+        # Zero residuals keep the running mean at zero, so the Welford
+        # increments vanish over the whole stretch.
+        u = RngStream(707, 2).generator().standard_normal(300)
+        u[:41] = 0.0
+        with pytest.raises(ProfileDegenerate):
+            time_transform(np.cumsum(u), variance_profile(u))
 
     def test_transform_moves_profile_toward_identity(self):
         # Under a one-break variance path the transformed series'

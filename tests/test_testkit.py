@@ -1,10 +1,12 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from oracles import rel_err
 from urblock.core import BlockScheme, RngStream
-from urblock.limits import default_crit_table
+from urblock.limits import default_crit_table, normal_cdf
 from urblock.mc import DgpSpec, ErrorSpec, run_experiment, simulate_dgp
 from urblock.nuisance import kappa2_hat
 from urblock.pooled import pooled_fit
@@ -42,6 +44,19 @@ class TestTauSb:
         assert out.critical_value == pytest.approx(norm.ppf(0.05), rel=1e-12)
         assert out.p_value == pytest.approx(norm.cdf(out.statistic), rel=1e-12)
         assert out.reject == (out.statistic < out.critical_value)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05, 0.025, 0.01, 0.001])
+    def test_critical_value_is_stdlib_normal_quantile(self, alpha):
+        crit = tau_sb(walk(1, 200), 30, alpha=alpha).critical_value
+        assert crit == NormalDist().inv_cdf(alpha)
+        assert crit == pytest.approx(norm.ppf(alpha), rel=1e-15)
+
+    def test_p_value_matches_scipy_deep_in_the_tails(self):
+        out = tau_sb(walk(1, 200), 30)
+        assert out.p_value == normal_cdf(out.statistic)
+        x = np.linspace(-37.0, 8.0, 4501)
+        got = np.array([normal_cdf(v) for v in x])
+        assert np.all(np.abs(got - norm.cdf(x)) <= 1e-12 * norm.cdf(x))
 
     def test_scale_invariance(self):
         y = walk(2, 180)
