@@ -25,11 +25,8 @@ from .core import (
 )
 from .pooled import BlockStats, PooledFit, block_stats, pooled_fit
 from .nuisance import (
-    NuisanceEstimates,
     VarianceProfile,
-    invert_profile,
     kappa2_hat,
-    nuisance_estimates,
     sigma2_hat,
     time_transform,
     variance_profile,
@@ -78,14 +75,11 @@ __all__ = [
     "block_stats",
     "pooled_fit",
     # nuisance estimation
-    "NuisanceEstimates",
     "VarianceProfile",
     "sigma2_hat",
     "kappa2_hat",
     "variance_profile",
-    "invert_profile",
     "time_transform",
-    "nuisance_estimates",
     # pre-whitening
     "PrewhitenFit",
     "fit_prewhiten",

@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import BaselineSpec, run_baseline
 from .core import (
     BlockScheme,
     DegenerateResiduals,
@@ -31,11 +30,11 @@ from .core import (
     UrblockError,
 )
 from .limits import DEFAULT_ALPHA_GRID, DEFAULT_B_GRID, build_crit_table
-from .mc import _parse_lag, emit_table, run_config
+from .mc import POOLED_KINDS, TEST_KINDS, _apply_test, _parse_lag, _spec_for
+from .mc import emit_table, run_config
 from .prewhiten import schwert_pmax
-from .testkit import LagSpec, TestSpec, run_test
+from .testkit import LagSpec
 
-TEST_CHOICES = ("tau-sb", "tau-fb", "adf", "df-gls", "df-gls-trend", "el")
 MIN_T_ABORT = 10
 MIN_T_WARN = 30
 
@@ -115,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("input", help="CSV file with the series ('-' for stdin)")
     p_test.add_argument("--column", help="column name when the file has several")
     p_test.add_argument(
-        "--test", choices=TEST_CHOICES, default="tau-sb", dest="test_kind"
+        "--test", choices=TEST_KINDS, default="tau-sb", dest="test_kind"
     )
     p_test.add_argument(
         "--gamma", type=float, help="blocklength exponent, B = floor(T^gamma)"
@@ -168,24 +167,17 @@ def _build_test_spec(args, T: int):
     if args.gamma is not None and args.b is not None:
         raise ValueError("--gamma and --b are mutually exclusive")
     lag = _parse_lag(args.lags)
-
-    if args.test_kind in ("tau-sb", "tau-fb"):
+    scheme = None
+    if args.test_kind in POOLED_KINDS:
         if args.gamma is not None:
             scheme = BlockScheme.power_rule(args.gamma)
         elif args.b is not None:
             scheme = BlockScheme.fixed_fraction(args.b)
-        elif args.test_kind == "tau-sb":
-            scheme = BlockScheme.power_rule(0.7)
-        else:
-            scheme = BlockScheme.fixed_fraction(0.2)
-        variant = "small-b" if args.test_kind == "tau-sb" else "fixed-b"
-        return TestSpec(variant=variant, scheme=scheme, lag=lag, alpha=args.alpha)
-
-    if args.gamma is not None or args.b is not None:
+    elif args.gamma is not None or args.b is not None:
         raise ValueError("--gamma/--b apply only to tau-sb and tau-fb")
-    if lag.kind == "schwert":
+    elif lag.kind == "schwert":
         lag = LagSpec.bic(schwert_pmax(T))
-    return BaselineSpec(kind=args.test_kind, lag=lag)
+    return _spec_for(args.test_kind, lag, scheme)
 
 
 def _print_text_report(outcome, alpha: float) -> None:
@@ -218,11 +210,7 @@ def cmd_test(args) -> int:
             file=sys.stderr,
         )
 
-    spec = _build_test_spec(args, T)
-    if isinstance(spec, TestSpec):
-        outcome = run_test(y, spec)
-    else:
-        outcome = run_baseline(y, spec, alpha=args.alpha)
+    outcome = _apply_test(y, _build_test_spec(args, T), args.alpha)
 
     for note in outcome.diagnostics.get("warnings", []):
         print(f"warning: {note}", file=sys.stderr)

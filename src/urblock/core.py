@@ -24,13 +24,13 @@ __all__ = [
     "LagTooLarge",
     "as_series",
     "BlockScheme",
-    "resolve_blocklength",
     "OlsFit",
     "lagged_design",
     "ols",
     "ols_tstat_batch",
     "select_lag_bic_batch",
     "RngStream",
+    "chunked_map",
 ]
 
 MIN_SERIES_LENGTH = 4
@@ -126,7 +126,21 @@ class BlockScheme:
         return cls("explicit", float(int(B)))
 
     def resolve(self, T: int) -> int:
-        return resolve_blocklength(self, T)
+        if T < MIN_SERIES_LENGTH:
+            raise SchemeInfeasible(f"T={T} is below the minimum sample size 4")
+        if self.kind == "power":
+            B = max(2, int(np.floor(T ** self.param)))
+        elif self.kind == "fraction":
+            B = max(2, int(np.floor(self.param * T)))
+        elif self.kind == "explicit":
+            B = int(self.param)
+        else:
+            raise ValueError(f"unknown block scheme kind {self.kind!r}")
+        if not 2 <= B < T:
+            raise SchemeInfeasible(
+                f"resolved blocklength B={B} violates 2 <= B < T for T={T}"
+            )
+        return B
 
     def label(self) -> str:
         if self.kind == "power":
@@ -134,25 +148,6 @@ class BlockScheme:
         if self.kind == "fraction":
             return f"{self.param:g}T"
         return f"B={int(self.param)}"
-
-
-def resolve_blocklength(scheme: BlockScheme, T: int) -> int:
-    """Resolve a block scheme to an integer blocklength with 2 <= B < T."""
-    if T < MIN_SERIES_LENGTH:
-        raise SchemeInfeasible(f"T={T} is below the minimum sample size 4")
-    if scheme.kind == "power":
-        B = max(2, int(np.floor(T ** scheme.param)))
-    elif scheme.kind == "fraction":
-        B = max(2, int(np.floor(scheme.param * T)))
-    elif scheme.kind == "explicit":
-        B = int(scheme.param)
-    else:
-        raise ValueError(f"unknown block scheme kind {scheme.kind!r}")
-    if not 2 <= B < T:
-        raise SchemeInfeasible(
-            f"resolved blocklength B={B} violates 2 <= B < T for T={T}"
-        )
-    return B
 
 
 @dataclass
@@ -307,3 +302,21 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = (self.seed & _MASK64) | ((self.stream & _MASK64) << 64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def chunked_map(chunk, n: int, threads: int, *args) -> np.ndarray:
+    """Rows 0..n-1 of ``chunk(*args, lo, hi)``, stacked in index order.
+
+    With threads > 1 the range is cut into at most 4*threads contiguous
+    chunks run in a process pool.  Callers draw row k from its own
+    stream, so the result does not depend on the thread count.
+    """
+    if threads <= 1:
+        return chunk(*args, 0, n)
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(0, n, 4 * threads + 1, dtype=int)
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(chunk, *args, lo, hi) for lo, hi in spans]
+        return np.concatenate([fut.result() for fut in futures])

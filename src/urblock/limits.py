@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, chunked_map
 
 __all__ = [
     "CritTable",
@@ -105,20 +105,24 @@ class CritTable:
     @classmethod
     def load(cls, source) -> "CritTable":
         if hasattr(source, "read"):
-            text = source.read()
+            name, text = getattr(source, "name", "crittable"), source.read()
         else:
+            name = str(source)
             with open(source) as fh:
                 text = fh.read()
         lines = [
             ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")
         ]
-        header = lines[0]
+        header = lines[0] if lines else ""
         if not header.startswith(_CRIT_HEADER):
-            raise ValueError(f"not a crittable file (header {header!r})")
+            raise ValueError(f"{name}: not a crittable file (header {header!r})")
         meta = dict(
             field.split("=", 1) for field in header.split()[2:] if "=" in field
         )
         rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("b,")]
+        for r in rows:
+            if len(r) < 3:
+                raise ValueError(f"{name}: row {','.join(r)!r} has fewer than 3 fields")
         bs = sorted({float(r[0]) for r in rows})
         alphas = sorted({float(r[1]) for r in rows}, reverse=True)
         quant = np.full((len(bs), len(alphas)), np.nan)
@@ -126,8 +130,8 @@ class CritTable:
         aj = {a: j for j, a in enumerate(alphas)}
         for r in rows:
             quant[bi[float(r[0])], aj[float(r[1])]] = float(r[2])
-        if np.any(np.isnan(quant)):
-            raise ValueError("crittable grid is incomplete")
+        if not rows or np.any(np.isnan(quant)):
+            raise ValueError(f"{name}: crittable grid is incomplete")
         return cls(
             b_grid=np.array(bs),
             alpha_grid=np.array(alphas),
@@ -202,7 +206,7 @@ def simulate_fb_statistic(b: float, c: float, grid: int, rng: RngStream) -> floa
     return _fb_functional(J, b)
 
 
-def _crit_chunk(seed: int, lo: int, hi: int, b_grid, grid: int) -> np.ndarray:
+def _crit_chunk(seed: int, b_grid, grid: int, lo: int, hi: int) -> np.ndarray:
     """Statistics for replications lo..hi-1; one shared W path per rep."""
     b_grid = np.asarray(b_grid)
     out = np.empty((hi - lo, b_grid.shape[0]))
@@ -239,20 +243,7 @@ def build_crit_table(
     a_arr = np.asarray(sorted(alpha_grid, reverse=True), dtype=np.float64)
     grid = int(grid)
 
-    if threads <= 1:
-        stats = _crit_chunk(seed, 0, reps, b_arr, grid)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        stats = np.empty((reps, b_arr.shape[0]))
-        bounds = np.linspace(0, reps, 4 * threads + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_crit_chunk, seed, lo, hi, b_arr, grid): (lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            }
-            for fut, (lo, hi) in futures.items():
-                stats[lo:hi] = fut.result()
+    stats = chunked_map(_crit_chunk, reps, threads, seed, b_arr, grid)
 
     quantiles = np.empty((b_arr.shape[0], a_arr.shape[0]))
     for ib in range(b_arr.shape[0]):
@@ -300,21 +291,22 @@ def simulate_sb_local_power(
     return normal_cdf(crit + drift)
 
 
-_default_table_cache: CritTable | None = None
+# (URBLOCK_TABLE_DIR at load time, table): a changed override reloads.
+_default_table_cache: tuple[str | None, CritTable] | None = None
 
 
 def default_crit_table() -> CritTable:
     """The packaged fixed-b table, or the URBLOCK_TABLE_DIR override."""
     global _default_table_cache
-    if _default_table_cache is not None:
-        return _default_table_cache
     override = table_dir()
-    if override:
-        candidate = os.path.join(override, _EMBEDDED_TABLE_FILE)
-        if os.path.isfile(candidate):
-            _default_table_cache = CritTable.load(candidate)
-            return _default_table_cache
-    ref = importlib.resources.files("urblock.data").joinpath(_EMBEDDED_TABLE_FILE)
-    with ref.open("r") as fh:
-        _default_table_cache = CritTable.load(fh)
-    return _default_table_cache
+    if _default_table_cache is not None and _default_table_cache[0] == override:
+        return _default_table_cache[1]
+    candidate = override and os.path.join(override, _EMBEDDED_TABLE_FILE)
+    if candidate and os.path.isfile(candidate):
+        table = CritTable.load(candidate)
+    else:
+        ref = importlib.resources.files("urblock.data").joinpath(_EMBEDDED_TABLE_FILE)
+        with ref.open("r") as fh:
+            table = CritTable.load(fh)
+    _default_table_cache = (override, table)
+    return table

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineSpec, run_baseline, warm_baseline_tables
-from .core import BlockScheme, RngStream, UrblockError
+from .baselines import BASELINE_KINDS, BaselineSpec, run_baseline, warm_baseline_tables
+from .core import BlockScheme, RngStream, UrblockError, chunked_map
 from .limits import default_crit_table
 from .testkit import LagSpec, TestOutcome, TestSpec, run_test
 
@@ -68,6 +68,9 @@ TREND_KINDS = (
     "triangular",
     "fourier",
 )
+
+POOLED_KINDS = ("tau-sb", "tau-fb")
+TEST_KINDS = POOLED_KINDS + BASELINE_KINDS
 
 AR_BURN_IN = 100
 BIC_DEFAULT_PMAX = 5
@@ -298,27 +301,9 @@ def run_experiment(
     if any(isinstance(s, TestSpec) and s.variant == "fixed-b" for s in tests):
         default_crit_table()
 
-    rejections = np.full((reps, len(tests)), -1, dtype=np.int8)
-    if threads <= 1:
-        rejections = _experiment_chunk(dgp, tests, alpha, seed, 0, reps)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    if threads > 1:
         import scipy.signal  # noqa: F401 -- workers inherit it from the fork
-
-        bounds = np.unique(np.linspace(0, reps, 4 * threads + 1).astype(int))
-        jobs = [
-            (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_experiment_chunk, dgp, tests, alpha, seed, lo, hi): (
-                    lo,
-                    hi,
-                )
-                for lo, hi in jobs
-            }
-            for fut, (lo, hi) in futures.items():
-                rejections[lo:hi] = fut.result()
+    rejections = chunked_map(_experiment_chunk, reps, threads, dgp, tests, alpha, seed)
 
     labels, rates, ses, fails = [], [], [], []
     for j, spec in enumerate(tests):
@@ -363,6 +348,21 @@ def _parse_lag(token: str) -> LagSpec:
     return LagSpec.fixed(int(token))
 
 
+def _spec_for(kind: str, lag: LagSpec, scheme: BlockScheme | None = None):
+    """The spec of one test kind.  The pooled tests default to the
+    blocklength T^0.7 (tau-sb) or 0.2T (tau-fb); baselines take none."""
+    if kind in POOLED_KINDS:
+        if scheme is None:
+            scheme = (
+                BlockScheme.power_rule(0.7)
+                if kind == "tau-sb"
+                else BlockScheme.fixed_fraction(0.2)
+            )
+        variant = "small-b" if kind == "tau-sb" else "fixed-b"
+        return TestSpec(variant=variant, scheme=scheme, lag=lag)
+    return BaselineSpec(kind=kind, lag=lag)
+
+
 def parse_test_id(text: str):
     """Parse a test id like ``tau-sb:gamma=0.7:p=bic5`` into a spec."""
     parts = [p.strip() for p in text.strip().split(":") if p.strip()]
@@ -380,10 +380,11 @@ def parse_test_id(text: str):
         opts[key] = val.strip()
 
     lag = _parse_lag(opts.pop("p", "0"))
-
-    if kind in ("tau-sb", "tau-fb"):
-        scheme_keys = [k for k in ("gamma", "b", "B") if k in opts]
-        if len(scheme_keys) > 1:
+    if kind not in TEST_KINDS:
+        raise ValueError(f"unknown test kind {kind!r}")
+    scheme = None
+    if kind in POOLED_KINDS:
+        if len([k for k in ("gamma", "b", "B") if k in opts]) > 1:
             raise ValueError(f"conflicting blocklength settings in {text!r}")
         if "gamma" in opts:
             scheme = BlockScheme.power_rule(float(opts.pop("gamma")))
@@ -391,23 +392,9 @@ def parse_test_id(text: str):
             scheme = BlockScheme.fixed_fraction(float(opts.pop("b")))
         elif "B" in opts:
             scheme = BlockScheme.explicit(int(opts.pop("B")))
-        else:
-            scheme = (
-                BlockScheme.power_rule(0.7)
-                if kind == "tau-sb"
-                else BlockScheme.fixed_fraction(0.2)
-            )
-        if opts:
-            raise ValueError(f"unknown test options {sorted(opts)} in {text!r}")
-        variant = "small-b" if kind == "tau-sb" else "fixed-b"
-        return TestSpec(variant=variant, scheme=scheme, lag=lag)
-
-    if kind in ("adf", "df-gls", "df-gls-trend", "el"):
-        if opts:
-            raise ValueError(f"unknown test options {sorted(opts)} in {text!r}")
-        return BaselineSpec(kind=kind, lag=lag)
-
-    raise ValueError(f"unknown test kind {kind!r}")
+    if opts:
+        raise ValueError(f"unknown test options {sorted(opts)} in {text!r}")
+    return _spec_for(kind, lag, scheme)
 
 
 def _parse_trend(text: str) -> TrendSpec:

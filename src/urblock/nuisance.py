@@ -18,7 +18,6 @@ covers every original observation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,10 @@ from .core import (
 
 __all__ = [
     "VarianceProfile",
-    "NuisanceEstimates",
     "sigma2_hat",
     "kappa2_hat",
     "variance_profile",
-    "invert_profile",
     "time_transform",
-    "nuisance_estimates",
 ]
 
 # Profile segments flatter than this (slope of eta per unit s) count as
@@ -53,20 +49,9 @@ MAX_FLAT_RUN = 2
 MAX_AUX_MULTIPLE = 10
 
 
-def _residual_vector(residuals) -> np.ndarray:
-    u = np.ascontiguousarray(residuals, dtype=np.float64)
-    if u.ndim != 1:
-        raise ValueError("residuals must be 1-dimensional")
-    if u.shape[0] < 4:
-        raise ValueError(f"need at least 4 residuals, got {u.shape[0]}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("residuals contain non-finite values")
-    return u
-
-
 def sigma2_hat(residuals) -> float:
     """Sample variance of the residuals u_2..u_T with divisor T-2."""
-    u = _residual_vector(residuals)
+    u = as_series(residuals)
     T = u.shape[0]
     tail = u[1:]
     dev = tail - tail.mean()
@@ -84,7 +69,7 @@ def kappa2_hat(residuals, B: int) -> float:
     deviation when residual deviations are all of one magnitude, and
     estimates (integral of sigma^4)/(integral of sigma^2) in general.
     """
-    u = _residual_vector(residuals)
+    u = as_series(residuals)
     T = u.shape[0]
     B = int(B)
     if not 2 <= B < T:
@@ -127,13 +112,6 @@ class VarianceProfile:
         return self.breakpoints.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class NuisanceEstimates:
-    sigma2_hat: float
-    kappa2_hat: float
-    profile: VarianceProfile
-
-
 def variance_profile(residuals) -> VarianceProfile:
     """Cumulative variance-share profile of the residuals.
 
@@ -144,7 +122,7 @@ def variance_profile(residuals) -> VarianceProfile:
     with an epsilon multiple of the identity plus a nextafter sweep then
     guarantees strict increase without moving the endpoints.
     """
-    u = _residual_vector(residuals)
+    u = as_series(residuals)
     T = u.shape[0]
     tail = u[1:]
 
@@ -184,22 +162,6 @@ def variance_profile(residuals) -> VarianceProfile:
     return VarianceProfile(breakpoints=grid, values=v)
 
 
-def invert_profile(profile: VarianceProfile, u):
-    """Piecewise-linear inverse of the profile at u in [0,1].
-
-    Values outside [0,1] by more than 1e-9 trigger a diagnostic warning;
-    all inputs are clamped into [0,1] before inversion.
-    """
-    arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
-        warnings.warn(
-            "invert_profile input outside [0,1]; clamping", stacklevel=2
-        )
-    arr = np.clip(arr, 0.0, 1.0)
-    out = np.interp(arr, profile.values, profile.breakpoints)
-    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
-
-
 def _transform_indices(profile: VarianceProfile, T: int, k: int) -> np.ndarray:
     """0-based source indices of the transformed series on grid k*T."""
     n_aux = k * T
@@ -218,10 +180,11 @@ def time_transform(series, profile: VarianceProfile) -> np.ndarray:
     map covers every original observation at least once (duplicating
     points in low-volatility stretches instead of dropping points in
     high-volatility stretches).  When no multiple up to the cap achieves
-    full coverage -- the generic outcome for an estimated profile, since
-    some index interval is always narrower than any bounded grid -- the
-    transform falls back to the plain T-point grid (k = 1), matching the
-    statistic's definition on an untransformed-length series.
+    full coverage, the transform falls back to the plain T-point grid
+    (k = 1), matching the statistic's definition on an untransformed-length
+    series.  For random walks the fallback is the usual outcome from
+    T = 100 on, but about 1% of them at T = 30 take k > 1, and so does a
+    regular pattern such as an alternating series (k = 2).
 
     Raises ProfileDegenerate when the profile is flat (slope below
     MIN_PROFILE_SLOPE) over a run of more than MAX_FLAT_RUN consecutive
@@ -263,12 +226,3 @@ def time_transform(series, profile: VarianceProfile) -> np.ndarray:
     if chosen is None:
         chosen = _transform_indices(profile, T, 1)
     return y[chosen]
-
-
-def nuisance_estimates(residuals, B: int) -> NuisanceEstimates:
-    """Convenience bundle: sigma2, kappa2, and the variance profile."""
-    return NuisanceEstimates(
-        sigma2_hat=sigma2_hat(residuals),
-        kappa2_hat=kappa2_hat(residuals, B),
-        profile=variance_profile(residuals),
-    )

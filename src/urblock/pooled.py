@@ -41,29 +41,32 @@ class BlockStats:
 
 @dataclass
 class PooledFit:
-    """Pooled AR fit: rho_hat, phi_hat = rho_hat - 1, and residuals.
+    """Pooled AR fit: rho_hat, phi_hat = rho_hat - 1, and centered residuals.
 
-    residuals[0] is fixed to 0 by convention; residuals[t] = y_t -
-    rho_hat*y_{t-1} for t = 2..T (1-indexed).  centered_residuals holds
-    the mathematically identical deviations (u_t - mean u) computed from
-    differences only, which is the numerically shift-stable form every
-    downstream nuisance estimator consumes.
+    centered_residuals[0] is fixed to 0 by convention; entry t (1-indexed,
+    t = 2..T) is the deviation u_t - mean u of u_t = y_t - rho_hat*y_{t-1},
+    computed from differences only.  This numerically shift-stable form is
+    what every downstream nuisance estimator consumes.
     """
 
     rho_hat: float
     phi_hat: float
     stats: BlockStats
-    residuals: np.ndarray
     centered_residuals: np.ndarray
 
 
-def _window_sums(y: np.ndarray, B: int):
-    """Raw double-sum values (numerator N, denominator D) in O(T).
+def _window_sums(series, B: int):
+    """Validated block statistics and the raw double sums in O(T).
 
-    Returns the unnormalized sums so callers can pick their own scaling;
-    both are exact functions of np.diff(y).
+    Returns (stats, N, D, d, p): the numerator and denominator sums
+    unnormalized, both exact functions of the differences d = np.diff(y),
+    and the anchored partial-sum path p = y - y_1.
     """
+    y = as_series(series)
     T = y.shape[0]
+    B = int(B)
+    if not 2 <= B < T:
+        raise BadBlocklength(f"need 2 <= B < T, got B={B}, T={T}")
     d = np.diff(y)
     p = np.empty(T)
     p[0] = 0.0
@@ -85,25 +88,20 @@ def _window_sums(y: np.ndarray, B: int):
     den_inner = sum2 - 2.0 * p[a] * sum1 + (B - 1) * p[a] * p[a]
     np.maximum(den_inner, 0.0, out=den_inner)
 
-    return float(num_inner.sum()), float(den_inner.sum()), d, p
+    num, den = float(num_inner.sum()), float(den_inner.sum())
+    stats = BlockStats(y1=num / (B**1.5 * np.sqrt(T)), y2=den / (B * B * T), B=B, T=T)
+    return stats, num, den, d, p
 
 
 def block_stats(series, B: int) -> BlockStats:
     """Pooled block statistics Y1, Y2 for blocklength B (2 <= B < T)."""
-    y = as_series(series)
-    T = y.shape[0]
-    B = int(B)
-    if not 2 <= B < T:
-        raise BadBlocklength(f"need 2 <= B < T, got B={B}, T={T}")
-    num, den, _, _ = _window_sums(y, B)
-    y1 = num / (B**1.5 * np.sqrt(T))
-    y2 = den / (B * B * T)
-    if not (np.isfinite(y1) and np.isfinite(y2)):
+    stats = _window_sums(series, B)[0]
+    if not (np.isfinite(stats.y1) and np.isfinite(stats.y2)):
         raise UrblockError(
-            f"non-finite block statistics (y1={y1}, y2={y2}); "
+            f"non-finite block statistics (y1={stats.y1}, y2={stats.y2}); "
             "input scale is too extreme"
         )
-    return BlockStats(y1=y1, y2=y2, B=B, T=T)
+    return stats
 
 
 def pooled_fit(series, B: int) -> PooledFit:
@@ -112,41 +110,21 @@ def pooled_fit(series, B: int) -> PooledFit:
     Raises DegenerateSeries when every within-block deviation is zero
     (constant series), leaving the estimator undefined.
     """
-    y = as_series(series)
-    T = y.shape[0]
-    B = int(B)
-    if not 2 <= B < T:
-        raise BadBlocklength(f"need 2 <= B < T, got B={B}, T={T}")
-    num, den, d, p = _window_sums(y, B)
+    stats, num, den, d, p = _window_sums(series, B)
     if den == 0.0:
         raise DegenerateSeries(
             "series is constant within every block; pooled estimator undefined"
         )
     # phi_hat = Y1/(Y2*sqrt(BT)) simplifies exactly to the raw-sum ratio.
     phi = num / den
-    rho = 1.0 + phi
     if not np.isfinite(phi):
         raise UrblockError("non-finite pooled estimate; input scale too extreme")
 
-    residuals = np.empty(T)
-    residuals[0] = 0.0
-    residuals[1:] = y[1:] - rho * y[:-1]
-
-    # Same residual deviations, assembled from differences only:
     # u_t - mean u = (dy_t - mean dy) - phi*((y_{t-1}-y_1) - mean(y-y_1)).
     pl = p[:-1]
-    e = (d - d.mean()) - phi * (pl - pl.mean())
-    centered = np.empty(T)
+    centered = np.empty(stats.T)
     centered[0] = 0.0
-    centered[1:] = e
-
-    y1 = num / (B**1.5 * np.sqrt(T))
-    y2 = den / (B * B * T)
-    stats = BlockStats(y1=y1, y2=y2, B=B, T=T)
+    centered[1:] = (d - d.mean()) - phi * (pl - pl.mean())
     return PooledFit(
-        rho_hat=rho,
-        phi_hat=phi,
-        stats=stats,
-        residuals=residuals,
-        centered_residuals=centered,
+        rho_hat=1.0 + phi, phi_hat=phi, stats=stats, centered_residuals=centered
     )

@@ -145,6 +145,27 @@ class TestTestCommand:
         assert rc == 2
         assert "tau-sb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, names",
+        [
+            ("", "fb_critical_values.txt"),
+            ("urblock-crittable v1 grid=100 reps=1000\n0.2,0.05\n", "0.2,0.05"),
+        ],
+        ids=["empty", "short-row"],
+    )
+    def test_broken_table_override_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, body, names
+    ):
+        (tmp_path / "fb_critical_values.txt").write_text(body)
+        monkeypatch.setenv("URBLOCK_TABLE_DIR", str(tmp_path))
+        p = tmp_path / "y.csv"
+        write_walk(p, T=100)
+        rc = main(["test", str(p), "--test", "tau-fb", "--lags", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fb_critical_values.txt" in err
+        assert names in err
+
     def test_unknown_test_rejected_by_parser(self, tmp_path):
         p = tmp_path / "y.csv"
         write_walk(p, T=100)

@@ -9,11 +9,12 @@ from urblock.core import (
     RngStream,
     SchemeInfeasible,
     as_series,
+    chunked_map,
     ols,
     ols_tstat_batch,
-    resolve_blocklength,
     select_lag_bic_batch,
 )
+from urblock.limits import _crit_chunk
 
 
 class TestAsSeries:
@@ -43,23 +44,23 @@ class TestAsSeries:
 
 class TestBlockScheme:
     def test_power_rule_example(self):
-        assert resolve_blocklength(BlockScheme.power_rule(0.7), 100) == 25
+        assert BlockScheme.power_rule(0.7).resolve(100) == 25
 
     def test_fixed_fraction_example(self):
-        assert resolve_blocklength(BlockScheme.fixed_fraction(0.2), 300) == 60
+        assert BlockScheme.fixed_fraction(0.2).resolve(300) == 60
 
     def test_explicit_too_small(self):
         with pytest.raises(SchemeInfeasible):
-            resolve_blocklength(BlockScheme.explicit(1), 10)
+            BlockScheme.explicit(1).resolve(10)
 
     def test_explicit_too_large(self):
         with pytest.raises(SchemeInfeasible):
-            resolve_blocklength(BlockScheme.explicit(10), 10)
-        assert resolve_blocklength(BlockScheme.explicit(9), 10) == 9
+            BlockScheme.explicit(10).resolve(10)
+        assert BlockScheme.explicit(9).resolve(10) == 9
 
     def test_lower_clamp(self):
         # floor(10^0.1) = 1 clamps up to the minimum blocklength 2
-        assert resolve_blocklength(BlockScheme.power_rule(0.1), 10) == 2
+        assert BlockScheme.power_rule(0.1).resolve(10) == 2
 
     def test_param_validation(self):
         for bad in (0.0, 1.0, -0.3, 1.7):
@@ -75,7 +76,7 @@ class TestBlockScheme:
         ):
             prev = 0
             for T in range(4, 400):
-                B = resolve_blocklength(scheme, T)
+                B = scheme.resolve(T)
                 assert 2 <= B < T
                 assert B >= prev
                 prev = B
@@ -87,7 +88,7 @@ class TestBlockScheme:
 
     def test_tiny_sample_rejected(self):
         with pytest.raises(SchemeInfeasible):
-            resolve_blocklength(BlockScheme.power_rule(0.5), 3)
+            BlockScheme.power_rule(0.5).resolve(3)
 
 
 class TestOls:
@@ -217,3 +218,13 @@ class TestRngStream:
         a = s.generator().standard_normal(16)
         b = s.generator().standard_normal(16)
         assert np.array_equal(a, b)
+
+
+class TestChunkedMap:
+    def test_collapsed_chunks_match_serial(self):
+        # n=3 over 4*2 chunk bounds leaves three one-row chunks.
+        b = np.array([0.2, 0.5])
+        one = chunked_map(_crit_chunk, 3, 1, 7, b, 200)
+        two = chunked_map(_crit_chunk, 3, 2, 7, b, 200)
+        assert one.shape == (3, 2)
+        assert np.array_equal(one, two)

@@ -179,6 +179,24 @@ class TestDefaultTable:
         with pytest.raises(ValueError, match="not tabulated"):
             default_crit_table().critical_value(0.2, 0.33)
 
+    def test_follows_table_dir_override(self, tmp_path, monkeypatch):
+        # Two override directories in one process give their own tables.
+        for name, q in (("one", -2.0), ("two", -3.0)):
+            d = tmp_path / name
+            d.mkdir()
+            CritTable(
+                b_grid=np.array([0.1, 0.9]),
+                alpha_grid=np.array([0.05]),
+                quantiles=np.array([[q], [q]]),
+                grid=100,
+                reps=1000,
+                seed=1,
+            ).save(d / "fb_critical_values.txt")
+        monkeypatch.setenv("URBLOCK_TABLE_DIR", str(tmp_path / "one"))
+        assert default_crit_table().critical_value(0.2, 0.05) == -2.0
+        monkeypatch.setenv("URBLOCK_TABLE_DIR", str(tmp_path / "two"))
+        assert default_crit_table().critical_value(0.2, 0.05) == -3.0
+
     def test_packaged_table_file_is_closed(self, monkeypatch):
         monkeypatch.delenv("URBLOCK_TABLE_DIR")
         monkeypatch.setattr(limits, "_default_table_cache", None)

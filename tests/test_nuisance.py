@@ -6,14 +6,12 @@ from urblock.core import BadBlocklength, DegenerateResiduals, ProfileDegenerate,
 from urblock.nuisance import (
     MIN_PROFILE_SLOPE,
     VarianceProfile,
-    invert_profile,
     kappa2_hat,
-    nuisance_estimates,
     sigma2_hat,
     time_transform,
     variance_profile,
 )
-from urblock.pooled import pooled_fit
+from urblock.pooled import block_stats, pooled_fit
 from urblock.testkit import tau_fb
 
 STEP_LAMBDA = 3.0
@@ -175,35 +173,6 @@ class TestVarianceProfile:
         assert np.all(np.diff(prof.values) > 0.0)
 
 
-class TestInvertProfile:
-    def identity_profile(self, T=50):
-        grid = np.arange(T + 1) / T
-        return VarianceProfile(breakpoints=grid, values=grid.copy())
-
-    def test_identity(self):
-        prof = self.identity_profile()
-        for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert invert_profile(prof, u) == pytest.approx(u, abs=1e-14)
-
-    def test_boundaries(self):
-        prof = variance_profile(iid_noise(23, 100))
-        assert invert_profile(prof, 0.0) == 0.0
-        assert invert_profile(prof, 1.0) == 1.0
-
-    def test_roundtrip(self):
-        prof = variance_profile(step_noise(24, 400))
-        g = RngStream(704, 0).generator()
-        u = g.uniform(0.0, 1.0, size=1000)
-        s = invert_profile(prof, u)
-        back = prof.value(s)
-        assert np.max(np.abs(back - u)) < 1e-12
-
-    def test_out_of_range_clamped(self):
-        prof = self.identity_profile()
-        assert invert_profile(prof, 1.0 + 5e-10) == 1.0
-        assert invert_profile(prof, -5e-10) == 0.0
-
-
 class TestTimeTransform:
     def test_identity_profile_is_identity(self):
         g = RngStream(705, 0).generator()
@@ -220,6 +189,24 @@ class TestTimeTransform:
             out = time_transform(y, prof)
             assert out.shape[0] % 200 == 0
             assert out.shape[0] <= 10 * 200
+
+    def test_auxiliary_grid_alternating_series(self):
+        # An alternating series is the plainest input whose profile is
+        # covered by a k > 1 grid: the transform doubles the length.
+        y = np.cumsum((-1.0) ** np.arange(200))
+        out = tau_fb(y, 20)
+        assert out.diagnostics["T_tilde"] == 400
+        assert out.diagnostics["B_tilde"] == 40
+        assert out.statistic == -18.853746496780442
+        # Hand assembly: block statistics of the transformed series at
+        # B~ = 40, normalized by sigma2 * T / T~.
+        fit = pooled_fit(y, 20)
+        sigma2 = sigma2_hat(fit.centered_residuals)
+        ty = time_transform(y, variance_profile(fit.centered_residuals))
+        assert ty.shape == (400,)
+        st = block_stats(ty, 40)
+        hand = st.y1 / (np.sqrt(sigma2 * 200 / 400) * np.sqrt(st.y2))
+        assert out.statistic == hand
 
     def test_profile_length_validated(self):
         y = np.cumsum(iid_noise(33, 50))
@@ -278,12 +265,3 @@ class TestTimeTransform:
             wins += after < before
         assert wins >= 0.9 * reps, f"transform improved only {wins}/{reps}"
 
-
-class TestNuisanceEstimates:
-    def test_bundle_consistency(self):
-        u = step_noise(40, 500)
-        est = nuisance_estimates(u, 40)
-        assert est.sigma2_hat == sigma2_hat(u)
-        assert est.kappa2_hat == kappa2_hat(u, 40)
-        assert np.array_equal(est.profile.values, variance_profile(u).values)
-        assert est.sigma2_hat > 0 and est.kappa2_hat > 0

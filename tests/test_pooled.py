@@ -121,9 +121,9 @@ class TestPooledFit:
     def test_residual_convention(self):
         y = np.arange(1.0, 6.0)
         fit = pooled_fit(y, 3)
-        assert fit.residuals[0] == 0.0
-        expected = y[1:] - fit.rho_hat * y[:-1]
-        assert np.allclose(fit.residuals[1:], expected, atol=1e-12)
+        assert fit.centered_residuals[0] == 0.0
+        u = y[1:] - fit.rho_hat * y[:-1]
+        assert np.allclose(fit.centered_residuals[1:], u - u.mean(), atol=1e-12)
 
     def test_centered_residuals_convention(self):
         g = RngStream(55, 0).generator()
