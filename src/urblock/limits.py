@@ -120,16 +120,18 @@ class CritTable:
             field.split("=", 1) for field in header.split()[2:] if "=" in field
         )
         rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("b,")]
-        for r in rows:
-            if len(r) < 3:
-                raise ValueError(f"{name}: row {','.join(r)!r} has fewer than 3 fields")
-        bs = sorted({float(r[0]) for r in rows})
-        alphas = sorted({float(r[1]) for r in rows}, reverse=True)
+        for i, r in enumerate(rows):
+            try:
+                rows[i] = [float(r[0]), float(r[1]), float(r[2])]
+            except (IndexError, ValueError):
+                raise ValueError(f"{name}: row {','.join(r)!r} is not 3 numbers") from None
+        bs = sorted({r[0] for r in rows})
+        alphas = sorted({r[1] for r in rows}, reverse=True)
         quant = np.full((len(bs), len(alphas)), np.nan)
         bi = {b: i for i, b in enumerate(bs)}
         aj = {a: j for j, a in enumerate(alphas)}
-        for r in rows:
-            quant[bi[float(r[0])], aj[float(r[1])]] = float(r[2])
+        for b, a, q in rows:
+            quant[bi[b], aj[a]] = q
         if not rows or np.any(np.isnan(quant)):
             raise ValueError(f"{name}: crittable grid is incomplete")
         return cls(

@@ -11,9 +11,9 @@ u[0] = 0 (the first residual is undefined and never enters any sum):
 eta is self-normalized (eta(1) = 1 exactly), nondecreasing by
 construction, and made strictly increasing by an epsilon blend so the
 piecewise-linear inverse is well defined.  The time transform re-indexes
-the series by the inverse profile, optionally on an auxiliary grid
-T~ = k*T (k <= 10) chosen as the smallest multiple whose index map
-covers every original observation.
+the series by the inverse profile on the auxiliary grid T~ = k*T of the
+smallest k <= 10 whose index map covers every original observation, read
+off in closed form from the profile's breakpoints (else k = 1).
 """
 
 from __future__ import annotations
@@ -78,13 +78,13 @@ def kappa2_hat(residuals, B: int) -> float:
 
     p = np.concatenate(([0.0], np.cumsum(u)))
     q = np.concatenate(([0.0], np.cumsum(u * u)))
-    j = np.arange(1, T - B + 1)
-    bsum = p[j + B] - p[j]
+    n = T - B + 1  # blocks j = 1..T-B
+    bsum = p[B + 1 :] - p[1:n]
     # Sum of squared deviations from the block mean, per block.
-    s = (q[j + B] - q[j]) - bsum * bsum / B
+    s = (q[B + 1 :] - q[1:n]) - bsum * bsum / B
     np.maximum(s, 0.0, out=s)
 
-    lead = u[j] - ubar
+    lead = u[1:n] - ubar
     den = float(s.sum())
     if den <= 0.0:
         raise DegenerateResiduals("residual blocks carry no variance")
@@ -176,15 +176,19 @@ def _transform_indices(profile: VarianceProfile, T: int, k: int) -> np.ndarray:
 def time_transform(series, profile: VarianceProfile) -> np.ndarray:
     """Re-index the series by the inverse variance profile.
 
-    The auxiliary length is k*T for the smallest k in 1..10 whose index
-    map covers every original observation at least once (duplicating
-    points in low-volatility stretches instead of dropping points in
-    high-volatility stretches).  When no multiple up to the cap achieves
-    full coverage, the transform falls back to the plain T-point grid
-    (k = 1), matching the statistic's definition on an untransformed-length
-    series.  For random walks the fallback is the usual outcome from
-    T = 100 on, but about 1% of them at T = 30 take k > 1, and so does a
-    regular pattern such as an alternating series (k = 2).
+    Grid point t = i/(kT), i = 1..kT, maps to the observation m with
+    v_m <= t < v_{m+1} (v the profile values).  The auxiliary length kT
+    takes the smallest k in 1..10 whose map covers observations 2..T
+    (duplicating points in low-volatility stretches instead of dropping
+    points in high-volatility ones), else k = 1.  Random walks fall back
+    to k = 1 from T = 100 on; about 1% at T = 30 take k > 1, and so does
+    an alternating series (k = 2).
+
+    Coverage has a closed form: m = 2..T-1 is hit when ceil(kT v_m) <
+    kT v_{m+1}, and m = T always is (t = 1 = v_T).  Only the chosen map is
+    built, plus the map of any k with a breakpoint within rounding reach
+    of a grid point (the map floors with a 1e-9 nudge), whose coverage is
+    then counted exactly; so k is the one that trying each map would pick.
 
     Raises ProfileDegenerate when the profile is flat (slope below
     MIN_PROFILE_SLOPE) over a run of more than MAX_FLAT_RUN consecutive
@@ -199,7 +203,9 @@ def time_transform(series, profile: VarianceProfile) -> np.ndarray:
         raise ValueError(
             f"profile grid size {profile.grid_size} does not match T={T}"
         )
-    flat = np.diff(profile.values) * T < MIN_PROFILE_SLOPE
+    v = profile.values
+    w = np.diff(v)
+    flat = w * T < MIN_PROFILE_SLOPE
     flat[:2] = False
     if flat.any():
         # Longest run of consecutive flat segments.
@@ -212,17 +218,18 @@ def time_transform(series, profile: VarianceProfile) -> np.ndarray:
                 f"{int((ends - starts).max())} consecutive segments; "
                 "inverse increment unbounded"
             )
-    chosen = None
-    for k in range(1, MAX_AUX_MULTIPLE + 1):
-        idx = _transform_indices(profile, T, k)
-        seen = np.zeros(T, dtype=bool)
-        seen[idx] = True
-        # Coverage of the first observation is not required: it carries
-        # no profile mass (the profile's first two grid values are both
-        # zero), so no inverse value can map to it.
-        if seen[1:].all():
-            chosen = idx
-            break
-    if chosen is None:
-        chosen = _transform_indices(profile, T, 1)
-    return y[chosen]
+    # Row k-1 holds kT * v_m, m = 2..T; v_m > 0, so ceil >= 1.
+    n = np.arange(1, MAX_AUX_MULTIPLE + 1)[:, None] * float(T)
+    e = n * v[2:]
+    covers = (np.ceil(e[:, :-1]) < e[:, 1:]).all(axis=1)
+    # Flag v_m near a grid point i >= 1 (v_T = 1 meets t = 1 exactly): the
+    # nudge reaches 1e-9 * kT * (v_m - v_{m-1}); tol is 10x that + k * 1e-7.
+    tol = n * (1e-8 * w[1:] + 1e-7 / T)
+    near = np.abs(e - np.maximum(np.rint(e), 1.0)) <= tol
+    near[:, -1] &= v[T] != 1.0
+    exact = near.any(axis=1)
+    for k in np.flatnonzero(covers | exact) + 1:
+        idx = _transform_indices(profile, T, int(k))
+        if not exact[k - 1] or np.bincount(idx, minlength=T)[1:].all():
+            return y[idx]
+    return y[_transform_indices(profile, T, 1)]

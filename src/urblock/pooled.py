@@ -72,20 +72,20 @@ def _window_sums(series, B: int):
     p[0] = 0.0
     np.cumsum(d, out=p[1:])
 
-    a = np.arange(T - B)
+    n = T - B  # blocks j = 0..n-1 (0-based) span p[j..j+B]
 
     # Numerator: sum over blocks of ((y_{j+B}-y_j)^2 - sum d^2) / 2.
     q = np.concatenate(([0.0], np.cumsum(d * d)))
-    diffp = p[a + B] - p[a]
-    num_inner = 0.5 * (diffp * diffp - (q[a + B] - q[a]))
+    diffp = p[B:] - p[:n]
+    num_inner = 0.5 * (diffp * diffp - (q[B:] - q[:n]))
 
     # Denominator: sum over blocks of sum_{m=j+1}^{j+B-1} (y_m - y_j)^2,
     # expanded through prefix sums of p and p^2.
     s1 = np.concatenate(([0.0], np.cumsum(p)))
     s2 = np.concatenate(([0.0], np.cumsum(p * p)))
-    sum1 = s1[a + B] - s1[a + 1]
-    sum2 = s2[a + B] - s2[a + 1]
-    den_inner = sum2 - 2.0 * p[a] * sum1 + (B - 1) * p[a] * p[a]
+    sum1 = s1[B:T] - s1[1 : n + 1]
+    sum2 = s2[B:T] - s2[1 : n + 1]
+    den_inner = sum2 - 2.0 * p[:n] * sum1 + (B - 1) * p[:n] * p[:n]
     np.maximum(den_inner, 0.0, out=den_inner)
 
     num, den = float(num_inner.sum()), float(den_inner.sum())

@@ -6,9 +6,10 @@ difference exists).  The lag coefficients theta filter the levels:
 
     ystar_t = y_t - sum_i theta_i * y_{t-i},   t = p+1..T,
 
-re-indexed to start at 1 with effective length T - p.  Lag order comes
-either fixed, from the BIC on a common estimation sample, or from the
-BIC capped by the T^{1/4} rule of thumb.
+re-indexed to start at 1 with effective length T - p; at p = 0 nothing
+is fitted and ystar = y.  Lag order comes either fixed, from the BIC on
+a common estimation sample, or from the BIC capped by the T^{1/4} rule
+of thumb.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSeries, LagTooLarge, OlsFit, as_series, lagged_design
+from .core import DegenerateSeries, LagTooLarge, as_series, lagged_design
 from .core import ols, select_lag_bic_batch
 
 __all__ = ["PrewhitenFit", "fit_prewhiten", "select_lag_bic", "schwert_pmax"]
@@ -25,23 +26,24 @@ __all__ = ["PrewhitenFit", "fit_prewhiten", "select_lag_bic", "schwert_pmax"]
 
 @dataclass
 class PrewhitenFit:
-    """Augmented-regression fit and the whitened series.
+    """Lag coefficients and the whitened series.
 
     theta_hat are the coefficients on the lagged differences (length p);
-    varphi_hat is the coefficient on the level y_{t-1}, exposed for
-    diagnostics only.  whitened has length T - p; p = 0 returns the
-    original series unchanged.
+    whitened has length T - p.  At p = 0 no regression is fitted:
+    theta_hat is empty and whitened is the original series.
     """
 
     p: int
     theta_hat: np.ndarray
-    varphi_hat: float
     whitened: np.ndarray
-    regression: OlsFit
 
 
 def fit_prewhiten(series, p: int) -> PrewhitenFit:
-    """Fit the augmented regression with p lags and whiten the series."""
+    """Fit the augmented regression with p lags and whiten the series.
+
+    p = 0 makes the same checks (lag bound, constant series), then
+    returns the series unchanged.
+    """
     y = as_series(series)
     T = y.shape[0]
     p = int(p)
@@ -54,24 +56,13 @@ def fit_prewhiten(series, p: int) -> PrewhitenFit:
     d = np.diff(y)
     if not np.any(d):
         raise DegenerateSeries("series is constant; regression undefined")
-    design, response = lagged_design(y, d, d, (), p, p)
-    fit = ols(design, response)
-    varphi = float(fit.coefficients[0])
-    theta = fit.coefficients[1:].copy()
-
     if p == 0:
-        whitened = y
-    else:
-        whitened = y[p:].copy()
-        for k in range(1, p + 1):
-            whitened -= theta[k - 1] * y[p - k : T - k]
-    return PrewhitenFit(
-        p=p,
-        theta_hat=theta,
-        varphi_hat=varphi,
-        whitened=whitened,
-        regression=fit,
-    )
+        return PrewhitenFit(p=0, theta_hat=np.empty(0), whitened=y)
+    theta = ols(*lagged_design(y, d, d, (), p, p)).coefficients[1:].copy()
+    whitened = y[p:].copy()
+    for k in range(1, p + 1):
+        whitened -= theta[k - 1] * y[p - k : T - k]
+    return PrewhitenFit(p=p, theta_hat=theta, whitened=whitened)
 
 
 def select_lag_bic(series, p_max: int) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 
 from urblock.baselines import _regression_parts
 from urblock.core import lagged_design, ols
+from urblock.nuisance import MAX_AUX_MULTIPLE, _transform_indices
 
 
 def block_stats_bruteforce(y, B):
@@ -128,6 +129,56 @@ def fb_statistic_bruteforce(b, c, grid, rng):
     numerator = num / n - b * (1.0 - b)
     d2 = b * den / (n * n)
     return numerator / (2.0 * np.sqrt(d2))
+
+
+def time_transform_loop(y, profile):
+    """Time-transformed series by building the index map on every grid
+    k*T, k = 1..MAX_AUX_MULTIPLE, until one covers observations 2..T;
+    falls back to k = 1.  Skips the flat-profile check."""
+    y = np.asarray(y, dtype=np.float64)
+    T = y.shape[0]
+    for k in range(1, MAX_AUX_MULTIPLE + 1):
+        idx = _transform_indices(profile, T, k)
+        seen = np.zeros(T, dtype=bool)
+        seen[idx] = True
+        if seen[1:].all():
+            return y[idx]
+    return y[_transform_indices(profile, T, 1)]
+
+
+def window_sums_index(y, B):
+    """Raw pooled numerator and denominator sums (N, D) from prefix sums
+    read through index arrays a + B, a + 1, a = 0..T-B-1."""
+    y = np.asarray(y, dtype=np.float64)
+    T = y.shape[0]
+    d = np.diff(y)
+    p = np.concatenate(([0.0], np.cumsum(d)))
+    a = np.arange(T - B)
+    q = np.concatenate(([0.0], np.cumsum(d * d)))
+    diffp = p[a + B] - p[a]
+    num_inner = 0.5 * (diffp * diffp - (q[a + B] - q[a]))
+    s1 = np.concatenate(([0.0], np.cumsum(p)))
+    s2 = np.concatenate(([0.0], np.cumsum(p * p)))
+    sum1 = s1[a + B] - s1[a + 1]
+    sum2 = s2[a + B] - s2[a + 1]
+    den_inner = sum2 - 2.0 * p[a] * sum1 + (B - 1) * p[a] * p[a]
+    np.maximum(den_inner, 0.0, out=den_inner)
+    return float(num_inner.sum()), float(den_inner.sum())
+
+
+def kappa2_index(u, B):
+    """kappa2 from prefix sums read through index arrays j + B, j."""
+    u = np.asarray(u, dtype=np.float64)
+    T = u.shape[0]
+    ubar = u[1:].mean()
+    p = np.concatenate(([0.0], np.cumsum(u)))
+    q = np.concatenate(([0.0], np.cumsum(u * u)))
+    j = np.arange(1, T - B + 1)
+    bsum = p[j + B] - p[j]
+    s = (q[j + B] - q[j]) - bsum * bsum / B
+    np.maximum(s, 0.0, out=s)
+    lead = u[j] - ubar
+    return float((lead * lead * s).sum()) / float(s.sum())
 
 
 def rel_err(a, b):

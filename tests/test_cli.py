@@ -115,6 +115,17 @@ class TestTestCommand:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("test", ["tau-sb", "tau-fb"])
+    def test_jump_at_end_degenerate(self, tmp_path, capsys, test):
+        # Every block but the last is constant; with no lags nothing is
+        # fitted before the pooled estimator, which finds the series
+        # degenerate.
+        p = tmp_path / "jump.csv"
+        p.write_text("\n".join(["0"] * 99 + ["1"]) + "\n")
+        rc = main(["test", str(p), "--test", test, "--lags", "0"])
+        assert rc == 3
+        assert "constant within every block" in capsys.readouterr().err
+
     def test_too_short_aborts(self, tmp_path, capsys):
         p = tmp_path / "tiny.csv"
         write_walk(p, T=9)
@@ -150,8 +161,12 @@ class TestTestCommand:
         [
             ("", "fb_critical_values.txt"),
             ("urblock-crittable v1 grid=100 reps=1000\n0.2,0.05\n", "0.2,0.05"),
+            (
+                "urblock-crittable v1 grid=100 reps=1000\n0.2,0.05,abc\n",
+                "0.2,0.05,abc",
+            ),
         ],
-        ids=["empty", "short-row"],
+        ids=["empty", "short-row", "non-numeric"],
     )
     def test_broken_table_override_is_usage_error(
         self, tmp_path, capsys, monkeypatch, body, names

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import eta_bruteforce, kappa2_bruteforce, rel_err, sigma2_bruteforce
+from oracles import (
+    eta_bruteforce,
+    kappa2_bruteforce,
+    kappa2_index,
+    rel_err,
+    sigma2_bruteforce,
+    time_transform_loop,
+)
 from urblock.core import BadBlocklength, DegenerateResiduals, ProfileDegenerate, RngStream
 from urblock.nuisance import (
     MIN_PROFILE_SLOPE,
@@ -84,6 +91,15 @@ class TestKappa2:
         y = np.cumsum(g.standard_normal(60))
         u = pooled_fit(y, 8).centered_residuals
         assert rel_err(kappa2_hat(u, 8), kappa2_bruteforce(u, 8)) < 1e-10
+
+    def test_equals_index_formulation(self):
+        for k in range(300):
+            g = RngStream(708, k).generator()
+            T = int(g.integers(4, 400)) if k < 290 else 10_000
+            B = int(g.integers(2, T))
+            u = g.standard_normal(T) * (1.0 + 3.0 * (np.arange(T) < T // 3))
+            u[0] = 0.0
+            assert kappa2_hat(u, B) == kappa2_index(u, B), (T, B)
 
     def test_homoskedastic_exact_value(self):
         # Tail alternates mean +/- d with even blocks, so every block has
@@ -202,11 +218,41 @@ class TestTimeTransform:
         # B~ = 40, normalized by sigma2 * T / T~.
         fit = pooled_fit(y, 20)
         sigma2 = sigma2_hat(fit.centered_residuals)
-        ty = time_transform(y, variance_profile(fit.centered_residuals))
+        prof = variance_profile(fit.centered_residuals)
+        ty = time_transform(y, prof)
         assert ty.shape == (400,)
+        assert np.array_equal(ty, time_transform_loop(y, prof))
         st = block_stats(ty, 40)
         hand = st.y1 / (np.sqrt(sigma2 * 200 / 400) * np.sqrt(st.y2))
         assert out.statistic == hand
+
+    @pytest.mark.parametrize("T", [30, 40, 60, 300])
+    def test_equals_map_by_map_search(self, T):
+        # The closed-form choice of k against building every index map in
+        # turn, on pooled-fit profiles with and without a variance step.
+        B = 6 if T == 30 else int(T**0.7)
+        for rep in range(2500):
+            y = np.cumsum(step_noise(rep, T, lam=3.0 * (rep % 2)))
+            prof = variance_profile(pooled_fit(y, B).centered_residuals)
+            assert np.array_equal(
+                time_transform(y, prof), time_transform_loop(y, prof)
+            ), rep
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("offset", [-1e-10, -1e-13, 0.0, 1e-13, 1e-10])
+    def test_breakpoint_near_grid_point(self, k, offset):
+        # One breakpoint put within 1e-10 of the grid point that alone
+        # covers its segment on grid k*T: whether that point lands in the
+        # segment decides between k and k + 1.  The map's 1e-9 floor
+        # nudge pulls a point just below the breakpoint across it.
+        T = 30
+        v = np.arange(T + 1) / T
+        v[10] = (10.0 + (k - 1) / k) / T + offset
+        prof = VarianceProfile(breakpoints=np.arange(T + 1) / T, values=v)
+        y = np.cumsum(iid_noise(34, T))
+        out = time_transform(y, prof)
+        assert np.array_equal(out, time_transform_loop(y, prof))
+        assert out.shape[0] == (k if offset < 1e-10 else k + 1) * T
 
     def test_profile_length_validated(self):
         y = np.cumsum(iid_noise(33, 50))

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import block_stats_bruteforce, phi_hat_bruteforce, rel_err
+from oracles import (
+    block_stats_bruteforce,
+    phi_hat_bruteforce,
+    rel_err,
+    window_sums_index,
+)
 from urblock.core import BadBlocklength, DegenerateSeries, RngStream
 from urblock.mc import DgpSpec, TrendSpec, simulate_dgp
-from urblock.pooled import block_stats, pooled_fit
+from urblock.pooled import _window_sums, block_stats, pooled_fit
 
 
 def dyadic_series(stream, T, scale=10):
@@ -59,6 +64,16 @@ class TestBlockStats:
             y1, y2 = block_stats_bruteforce(y, B)
             assert rel_err(stats.y1, y1) < 1e-10, (T, B, kind)
             assert rel_err(stats.y2, y2) < 1e-10, (T, B, kind)
+
+    def test_window_sums_equal_index_formulation(self):
+        # The slices read exactly the prefix-sum entries the index arrays
+        # did, so the raw sums agree bit for bit.
+        for k in range(300):
+            g = RngStream(52, k).generator()
+            T = int(g.integers(4, 400)) if k < 290 else 10_000
+            B = int(g.integers(2, T))
+            y = np.cumsum(g.standard_normal(T)) + g.normal() * np.arange(T)
+            assert _window_sums(y, B)[1:3] == window_sums_index(y, B), (T, B)
 
     def test_shift_invariance_exact_on_dyadic_grid(self):
         y = dyadic_series(0, 80)

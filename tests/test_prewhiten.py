@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import select_lag_bic_loop
-from urblock.core import LagTooLarge, RngStream
+from urblock.core import DegenerateSeries, LagTooLarge, RngStream
 from urblock.mc import DgpSpec, ErrorSpec, simulate_dgp
 from urblock.prewhiten import fit_prewhiten, schwert_pmax, select_lag_bic
 
@@ -53,9 +53,18 @@ class TestFitPrewhiten:
                 )
                 assert fit.whitened[t] == pytest.approx(expected, rel=1e-12)
 
-    def test_varphi_exposed(self):
-        fit = fit_prewhiten(ar1_walk(2, 500), 1)
-        assert np.isfinite(fit.varphi_hat)
+    def test_p0_fits_nothing_but_keeps_checks(self):
+        # A jump at the end makes the p = 0 regression singular; p = 0
+        # fits nothing, so the series passes through unchanged.
+        y = np.zeros(100)
+        y[-1] = 1.0
+        fit = fit_prewhiten(y, 0)
+        assert fit.whitened is y
+        assert fit.theta_hat.shape == (0,)
+        with pytest.raises(DegenerateSeries):
+            fit_prewhiten(np.full(50, 2.0), 0)
+        with pytest.raises(LagTooLarge):
+            fit_prewhiten(np.arange(9.0), 0)
 
     def test_lag_too_large(self):
         y = ar1_walk(3, 30)
