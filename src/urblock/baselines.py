@@ -364,24 +364,29 @@ def baseline_critical_value(kind: str, T: int, lag: LagSpec, alpha: float) -> fl
         raise ValueError(f"alpha={alpha:g} not tabulated (available: {levels})")
 
 
-def warm_baseline_tables(specs, T: int, alpha: float) -> None:
-    """Pre-simulate every baseline table needed, before forking workers."""
-    for spec in specs:
-        if isinstance(spec, BaselineSpec):
-            baseline_critical_value(spec.kind, T, spec.lag, alpha)
+def warm_baseline_tables(specs, T: int, alpha: float) -> list:
+    """Each spec's baseline critical value (None for the other specs),
+    simulating any missing table before workers fork."""
+    return [
+        baseline_critical_value(spec.kind, T, spec.lag, alpha)
+        if isinstance(spec, BaselineSpec)
+        else None
+        for spec in specs
+    ]
 
 
 # ---------------------------------------------------------------------------
 # public test entry points
 
 
-def _run(kind: str, series, lag, alpha: float) -> TestOutcome:
+def _run(kind: str, series, lag, alpha: float, crit=None) -> TestOutcome:
     lag = LagSpec.coerce(lag)
     y = as_series(series, min_length=_MIN_T[kind])
     T = y.shape[0]
     p = lag.value if lag.kind == "fixed" else _select_lag(kind, y, lag.value)
     stat = _stat(kind, y, p)
-    crit = baseline_critical_value(kind, T, lag, alpha)
+    if crit is None:
+        crit = baseline_critical_value(kind, T, lag, alpha)
     return TestOutcome(
         statistic=float(stat),
         critical_value=crit,
@@ -421,5 +426,8 @@ def enders_lee(
     return _run("el", series, lag, alpha)
 
 
-def run_baseline(series, spec: BaselineSpec, alpha: float = 0.05) -> TestOutcome:
-    return _run(spec.kind, series, spec.lag, alpha)
+def run_baseline(
+    series, spec: BaselineSpec, alpha: float = 0.05, critical_value=None
+) -> TestOutcome:
+    """``critical_value`` skips the table lookup when the caller did it."""
+    return _run(spec.kind, series, spec.lag, alpha, critical_value)

@@ -5,6 +5,11 @@ of an experiment draws from the dedicated stream ``RngStream(seed, k)``,
 and results are assembled by replication index, so the same seed yields
 byte-identical output for any ``threads`` setting.
 
+Baseline critical values are looked up once per cell, in the parent.
+Each draw is whitened once per lag rule; the pooled tests of that rule
+share its lag order, whitened series and prefix sums, and a whitening
+error counts against each of them, as if each had whitened alone.
+
 Experiment configs use INI syntax (configparser)::
 
     [size-T300]
@@ -38,7 +43,7 @@ import numpy as np
 from .baselines import BASELINE_KINDS, BaselineSpec, run_baseline, warm_baseline_tables
 from .core import BlockScheme, RngStream, UrblockError, chunked_map
 from .limits import default_crit_table
-from .testkit import LagSpec, TestOutcome, TestSpec, run_test
+from .testkit import LagSpec, TestOutcome, TestSpec, evaluate, run_test, whiten
 
 __all__ = [
     "TREND_KINDS",
@@ -255,20 +260,46 @@ class ExperimentResult:
     failures: np.ndarray
 
 
+_TEST_ERRORS = (UrblockError, np.linalg.LinAlgError)
+
+
 def _apply_test(y, spec, alpha) -> TestOutcome:
+    """One test on one series at level alpha, from scratch."""
     if isinstance(spec, BaselineSpec):
         return run_baseline(y, spec, alpha=alpha)
     return run_test(y, dataclasses.replace(spec, alpha=alpha))
 
 
-def _experiment_chunk(dgp, tests, alpha, seed, lo, hi) -> np.ndarray:
+def _whiten_or_error(y, lag):
+    try:
+        return whiten(y, lag)
+    except _TEST_ERRORS as exc:
+        return exc
+
+
+def _experiment_chunk(dgp, tests, crits, alpha, seed, lo, hi) -> np.ndarray:
+    """Decisions of draws lo..hi-1: 1 reject, 0 accept, -1 the test raised.
+    ``crits`` holds each baseline's critical value (None for the others)."""
+    tests = [
+        s if isinstance(s, BaselineSpec) else dataclasses.replace(s, alpha=alpha)
+        for s in tests
+    ]
     out = np.full((hi - lo, len(tests)), -1, dtype=np.int8)
     for k in range(lo, hi):
         y = simulate_dgp(dgp, RngStream(seed, k))
+        whitened = {}
         for j, spec in enumerate(tests):
             try:
-                outcome = _apply_test(y, spec, alpha)
-            except (UrblockError, np.linalg.LinAlgError):
+                if isinstance(spec, BaselineSpec):
+                    outcome = run_baseline(y, spec, alpha, critical_value=crits[j])
+                else:
+                    w = whitened.get(spec.lag)
+                    if w is None:
+                        w = whitened[spec.lag] = _whiten_or_error(y, spec.lag)
+                    if isinstance(w, Exception):
+                        continue
+                    outcome = evaluate(w, spec)
+            except _TEST_ERRORS:
                 continue
             out[k - lo, j] = 1 if outcome.reject else 0
     return out
@@ -297,13 +328,15 @@ def run_experiment(
             raise TypeError(f"unsupported test spec {spec!r}")
 
     # Materialize lookup tables in the parent so workers only read.
-    warm_baseline_tables(tests, dgp.T, alpha)
+    crits = warm_baseline_tables(tests, dgp.T, alpha)
     if any(isinstance(s, TestSpec) and s.variant == "fixed-b" for s in tests):
         default_crit_table()
 
     if threads > 1:
         import scipy.signal  # noqa: F401 -- workers inherit it from the fork
-    rejections = chunked_map(_experiment_chunk, reps, threads, dgp, tests, alpha, seed)
+    rejections = chunked_map(
+        _experiment_chunk, reps, threads, dgp, tests, crits, alpha, seed
+    )
 
     labels, rates, ses, fails = [], [], [], []
     for j, spec in enumerate(tests):

@@ -38,11 +38,23 @@ class PrewhitenFit:
     whitened: np.ndarray
 
 
+def _lag_design(y, d, p):
+    """The augmented regression with p lags; an identically zero column
+    (a series flat up to its last steps) leaves every fit undefined."""
+    design, response = lagged_design(y, d, d, (), p, p)
+    if not design.any(axis=0).all():
+        raise DegenerateSeries(
+            f"series is constant over the lag regression's sample (p={p})"
+        )
+    return design, response
+
+
 def fit_prewhiten(series, p: int) -> PrewhitenFit:
     """Fit the augmented regression with p lags and whiten the series.
 
     p = 0 makes the same checks (lag bound, constant series), then
-    returns the series unchanged.
+    returns the series unchanged.  At p >= 1 a design column that is
+    identically zero raises DegenerateSeries.
     """
     y = as_series(series)
     T = y.shape[0]
@@ -58,7 +70,7 @@ def fit_prewhiten(series, p: int) -> PrewhitenFit:
         raise DegenerateSeries("series is constant; regression undefined")
     if p == 0:
         return PrewhitenFit(p=0, theta_hat=np.empty(0), whitened=y)
-    theta = ols(*lagged_design(y, d, d, (), p, p)).coefficients[1:].copy()
+    theta = ols(*_lag_design(y, d, p)).coefficients[1:].copy()
     whitened = y[p:].copy()
     for k in range(1, p + 1):
         whitened -= theta[k - 1] * y[p - k : T - k]
@@ -72,7 +84,8 @@ def select_lag_bic(series, p_max: int) -> int:
     observations) so their sums of squared residuals are comparable;
     BIC(p) = n*ln(SSR/n) + (p+1)*ln(n).  Ties break toward smaller p.
     Every candidate is a column prefix of the p_max design, so one QR
-    of that design scores them all.
+    of that design scores them all.  A design column that is
+    identically zero raises DegenerateSeries.
     """
     y = as_series(series)
     T = y.shape[0]
@@ -84,7 +97,7 @@ def select_lag_bic(series, p_max: int) -> int:
     d = np.diff(y)
     if not np.any(d):
         raise DegenerateSeries("series is constant; lag selection undefined")
-    design, response = lagged_design(y, d, d, (), p_max, p_max)
+    design, response = _lag_design(y, d, p_max)
     return int(select_lag_bic_batch(design[None], response[None], 1)[0])
 
 

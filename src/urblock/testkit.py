@@ -8,10 +8,12 @@ Two variants share the pooled block statistics Y1, Y2:
 where the fixed-b variant evaluates the block statistics on the
 time-transformed series while sigma comes from the original series'
 residuals.  Both reject for statistics below the lower-tail critical
-value.  run_test adds optional pre-whitening: the lag order is resolved
-(fixed / BIC / BIC capped by the T^{1/4} rule), the series is whitened,
-blocklengths are re-resolved against the effective length, and lag
-order 0 reproduces the unwhitened statistics bit-for-bit.
+value.  run_test adds optional pre-whitening in two halves: ``whiten``
+resolves the lag order (fixed / BIC / BIC capped by the T^{1/4} rule)
+and whitens the series; ``evaluate`` resolves the blocklength against
+the effective length and dispatches.  run_test is a battery of one; the
+Monte Carlo harness whitens each draw once per lag rule.  Lag order 0
+reproduces the unwhitened statistics bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import operator
 import statistics
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .core import (
 )
 from .limits import CritTable, default_crit_table, normal_cdf
 from .nuisance import kappa2_hat, sigma2_hat, time_transform, variance_profile
-from .pooled import block_stats, pooled_fit
+from .pooled import PrefixSums, block_stats, pooled_fit, prefix_sums
 from .prewhiten import fit_prewhiten, schwert_pmax, select_lag_bic
 
 __all__ = [
@@ -40,6 +43,9 @@ __all__ = [
     "v_factor",
     "tau_sb",
     "tau_fb",
+    "Whitened",
+    "whiten",
+    "evaluate",
     "run_test",
 ]
 
@@ -131,15 +137,15 @@ def v_factor(B: int, T: int) -> float:
     return float(np.sqrt(v2))
 
 
-def tau_sb(series, B: int, alpha: float = 0.05) -> TestOutcome:
+def tau_sb(series, B: int, alpha: float = 0.05, sums=None) -> TestOutcome:
     """Small-b test: heteroskedasticity-robust, standard normal null.
 
     statistic = Y1 / (kappa * v * sqrt(Y2)); p-value is the lower-tail
-    normal probability.
+    normal probability.  ``sums`` are the series' prefix sums, if built.
     """
     y = as_series(series)
     T = y.shape[0]
-    fit = pooled_fit(y, B)
+    fit = pooled_fit(y, B, sums)
     kappa2 = kappa2_hat(fit.centered_residuals, B)
     if kappa2 <= 0.0:
         raise DegenerateResiduals("kappa2 estimate is zero")
@@ -164,17 +170,18 @@ def tau_sb(series, B: int, alpha: float = 0.05) -> TestOutcome:
 
 
 def tau_fb(
-    series, B: int, alpha: float = 0.05, table: CritTable | None = None
+    series, B: int, alpha: float = 0.05, table: CritTable | None = None, sums=None
 ) -> TestOutcome:
     """Fixed-b test on the variance-time-transformed series.
 
     sigma comes from the original series' residuals (the transform never
     re-estimates it); the critical value is read from the fixed-b table
     at b = B / T with linear interpolation in b.  No p-value is defined.
+    ``sums`` are the original series' prefix sums, if built.
     """
     y = as_series(series)
     T = y.shape[0]
-    fit = pooled_fit(y, B)
+    fit = pooled_fit(y, B, sums)
     sigma2 = sigma2_hat(fit.centered_residuals)
     profile = variance_profile(fit.centered_residuals)
     transformed = time_transform(y, profile)
@@ -214,16 +221,31 @@ def tau_fb(
     )
 
 
-def run_test(series, spec: TestSpec, table: CritTable | None = None) -> TestOutcome:
-    """Resolve lags, pre-whiten, and dispatch to tau_sb or tau_fb.
+class Whitened(NamedTuple):
+    """A series of length T whitened at lag order p: the whitened series
+    (length T - p) and its prefix sums, shared by every blocklength."""
 
-    The whitened series has effective length T - p; the block scheme is
-    re-resolved against it, so a fixed-b critical value is looked up at
-    b = B_effective / T_effective.  p = 0 reduces exactly to the
-    unwhitened statistics.
-    """
+    p: int
+    series: np.ndarray
+    sums: PrefixSums
+
+
+def whiten(series, lag: LagSpec) -> Whitened:
+    """Resolve the lag order of a series and pre-whiten it."""
     y = as_series(series)
-    T = y.shape[0]
+    p = lag.resolve(y)
+    whitened = fit_prewhiten(y, p).whitened
+    return Whitened(p, whitened, prefix_sums(whitened))
+
+
+def evaluate(
+    w: Whitened, spec: TestSpec, table: CritTable | None = None
+) -> TestOutcome:
+    """Run tau_sb or tau_fb on ``w = whiten(series, spec.lag)``.
+
+    The block scheme is resolved against the effective length, so a
+    fixed-b critical value is looked up at b = B_effective / T_effective.
+    """
     warnings_list = []
     if (spec.variant == "small-b" and spec.scheme.kind == "fraction") or (
         spec.variant == "fixed-b" and spec.scheme.kind == "power"
@@ -232,29 +254,33 @@ def run_test(series, spec: TestSpec, table: CritTable | None = None) -> TestOutc
             f"variant {spec.variant} paired with {spec.scheme.kind} "
             "blocklength scheme; asymptotics assume the natural pairing"
         )
-
-    p = spec.lag.resolve(y)
-    pw = fit_prewhiten(y, p)
-    effective = pw.whitened
-    T_eff = effective.shape[0]
+    T_eff = w.series.shape[0]
     if T_eff < 30:
         warnings_list.append(
-            f"effective sample length {T_eff} after {p} lags is below 30"
+            f"effective sample length {T_eff} after {w.p} lags is below 30"
         )
     B = spec.scheme.resolve(T_eff)
 
     if spec.variant == "small-b":
-        outcome = tau_sb(effective, B, spec.alpha)
+        outcome = tau_sb(w.series, B, spec.alpha, sums=w.sums)
     else:
-        outcome = tau_fb(effective, B, spec.alpha, table)
+        outcome = tau_fb(w.series, B, spec.alpha, table, sums=w.sums)
     outcome.diagnostics.update(
         {
-            "p": p,
+            "p": w.p,
             "lag_rule": spec.lag.label(),
-            "T_original": T,
+            "T_original": T_eff + w.p,
             "T_effective": T_eff,
         }
     )
     if warnings_list:
         outcome.diagnostics["warnings"] = warnings_list
     return outcome
+
+
+def run_test(series, spec: TestSpec, table: CritTable | None = None) -> TestOutcome:
+    """Resolve lags, pre-whiten, and dispatch to tau_sb or tau_fb.
+
+    p = 0 reduces exactly to the unwhitened statistics.
+    """
+    return evaluate(whiten(series, spec.lag), spec, table)

@@ -9,7 +9,8 @@ itself.
 import numpy as np
 
 from urblock.baselines import _regression_parts
-from urblock.core import lagged_design, ols
+from urblock.core import RngStream, UrblockError, lagged_design, ols
+from urblock.mc import _apply_test, simulate_dgp
 from urblock.nuisance import MAX_AUX_MULTIPLE, _transform_indices
 
 
@@ -223,3 +224,19 @@ def design_bic_loop(designs, responses, k0):
         for X, r in zip(designs, responses)
     ]
     return np.array(picks)
+
+
+def experiment_chunk_per_test(dgp, tests, alpha, seed, lo, hi):
+    """Decisions of draws lo..hi-1 (1, 0, or -1 where the test raised),
+    running every test of every draw on its own: its own lag pick,
+    whitening and critical-value lookup."""
+    out = np.full((hi - lo, len(tests)), -1, dtype=np.int8)
+    for k in range(lo, hi):
+        y = simulate_dgp(dgp, RngStream(seed, k))
+        for j, spec in enumerate(tests):
+            try:
+                outcome = _apply_test(y, spec, alpha)
+            except (UrblockError, np.linalg.LinAlgError):
+                continue
+            out[k - lo, j] = 1 if outcome.reject else 0
+    return out

@@ -126,6 +126,17 @@ class TestTestCommand:
         assert rc == 3
         assert "constant within every block" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lags", ["bic", "2"])
+    @pytest.mark.parametrize("test", ["tau-sb", "tau-fb"])
+    def test_jump_at_end_degenerate_with_lags(self, tmp_path, capsys, test, lags):
+        # The lag regression's columns are all zero: lag selection and
+        # whitening find the series degenerate rather than singular.
+        p = tmp_path / "jump.csv"
+        p.write_text("\n".join(["0"] * 99 + ["1"]) + "\n")
+        rc = main(["test", str(p), "--test", test, "--lags", lags])
+        assert rc == 3
+        assert "constant over the lag regression" in capsys.readouterr().err
+
     def test_too_short_aborts(self, tmp_path, capsys):
         p = tmp_path / "tiny.csv"
         write_walk(p, T=9)

@@ -5,10 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from urblock.baselines import BaselineSpec
+import urblock.baselines
+import urblock.testkit
+from oracles import experiment_chunk_per_test
+from urblock.baselines import BaselineSpec, warm_baseline_tables
 from urblock.core import BlockScheme, RngStream, UrblockError
 from urblock.mc import (
     RESULT_COLUMNS,
+    _experiment_chunk,
     DgpSpec,
     ErrorSpec,
     TrendSpec,
@@ -260,6 +264,92 @@ class TestRunExperiment:
             "print('scipy.signal' in sys.modules)\n"
         )
         assert run_child(["-c", script]).splitlines()[-1] == "True"
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# Pooled tests over every lag rule, fixed-lag baselines last.
+BATTERY = (
+    "tau-sb:gamma=0.7, tau-fb:b=0.2, tau-sb:gamma=0.5:p=1, tau-fb:b=0.4:p=1, "
+    "tau-sb:gamma=0.7:p=bic5, tau-sb:gamma=0.6:p=bic5, tau-fb:b=0.2:p=bic5, "
+    "tau-sb:gamma=0.7:p=schwert, tau-fb:b=0.3:p=schwert, adf"
+)
+# The seven pooled tests of a tables_full.cfg cell, at p = bic5.
+BIC5_POOLED = (
+    "tau-sb:gamma=0.5:p=bic5, tau-sb:gamma=0.6:p=bic5, tau-sb:gamma=0.7:p=bic5, "
+    "tau-sb:gamma=0.8:p=bic5, tau-fb:b=0.2:p=bic5, tau-fb:b=0.4:p=bic5, "
+    "tau-fb:b=0.6:p=bic5"
+)
+
+
+def battery(text):
+    return [parse_test_id(t) for t in text.split(",")]
+
+
+class TestBatteryPerDraw:
+    """The chunk whitens each draw once per lag rule and looks baseline
+    critical values up once per cell; its decisions equal running every
+    test on its own."""
+
+    @pytest.mark.parametrize(
+        "T, extra",
+        [(30, ", df-gls:p=1"), (100, ", df-gls:p=1"), (300, "")],
+    )
+    def test_chunk_equals_per_test_loop(self, T, extra):
+        dgp = DgpSpec(T=T, trend=TrendSpec("sharp-break", 3.0), errors=ErrorSpec("ar1", 0.5))
+        tests = battery(BATTERY + extra)
+        crits = warm_baseline_tables(tests, T, 0.05)
+        got = _experiment_chunk(dgp, tests, crits, 0.05, 5400, 3, 43)
+        want = experiment_chunk_per_test(dgp, tests, 0.05, 5400, 3, 43)
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want)
+
+    def test_lag_rule_failing_on_every_draw(self):
+        # At T = 24 BIC(5) leaves fewer than 20 rows: every test of that
+        # rule fails on every draw, while the others run.
+        dgp = DgpSpec(T=24, rho=0.8)
+        tests = battery(
+            "tau-sb:gamma=0.7:p=bic5, tau-sb, tau-fb:b=0.2:p=bic5, tau-fb:b=0.2:p=1"
+        )
+        got = _experiment_chunk(dgp, tests, [None] * 4, 0.1, 5401, 0, 60)
+        want = experiment_chunk_per_test(dgp, tests, 0.1, 5401, 0, 60)
+        assert np.array_equal(got, want)
+        assert (got[:, [0, 2]] == -1).all()
+        assert (got[:, [1, 3]] >= 0).mean() > 0.9
+        assert got[:, [1, 3]].max() == 1
+
+    def test_one_lag_pick_and_fit_per_draw(self, monkeypatch):
+        picks = counting(monkeypatch, urblock.testkit, "select_lag_bic")
+        fits = counting(monkeypatch, urblock.testkit, "fit_prewhiten")
+        dgp = DgpSpec(T=300, errors=ErrorSpec("ar1", 0.5))
+        tests = battery(BIC5_POOLED)
+        out = _experiment_chunk(dgp, tests, [None] * 7, 0.05, 5402, 0, 1)
+        assert (out >= 0).all()
+        assert (len(picks), len(fits)) == (1, 1)
+        out = _experiment_chunk(dgp, tests + battery("tau-sb:p=2"), [None] * 8, 0.05, 5402, 0, 5)
+        assert (len(picks), len(fits)) == (1 + 5, 1 + 5 * 2)
+
+    def test_baseline_critical_value_once_per_cell(self, monkeypatch):
+        lookups = counting(monkeypatch, urblock.baselines, "baseline_critical_value")
+        tests = battery("adf, tau-sb, df-gls:p=1, adf:p=1")
+        res = run_experiment(DgpSpec(T=60), tests, reps=30, seed=5403)
+        assert np.array_equal(res.failures, [0, 0, 0, 0])
+        assert [args[:3] for args in lookups] == [
+            ("adf", 60, LagSpec.fixed(0)),
+            ("df-gls", 60, LagSpec.fixed(1)),
+            ("adf", 60, LagSpec.fixed(1)),
+        ]
 
 
 class TestEmitTable:

@@ -9,7 +9,7 @@ from oracles import (
 )
 from urblock.core import BadBlocklength, DegenerateSeries, RngStream
 from urblock.mc import DgpSpec, TrendSpec, simulate_dgp
-from urblock.pooled import _window_sums, block_stats, pooled_fit
+from urblock.pooled import _window_sums, block_stats, pooled_fit, prefix_sums
 
 
 def dyadic_series(stream, T, scale=10):
@@ -73,7 +73,7 @@ class TestBlockStats:
             T = int(g.integers(4, 400)) if k < 290 else 10_000
             B = int(g.integers(2, T))
             y = np.cumsum(g.standard_normal(T)) + g.normal() * np.arange(T)
-            assert _window_sums(y, B)[1:3] == window_sums_index(y, B), (T, B)
+            assert _window_sums(prefix_sums(y), B)[1:3] == window_sums_index(y, B), (T, B)
 
     def test_shift_invariance_exact_on_dyadic_grid(self):
         y = dyadic_series(0, 80)
@@ -153,6 +153,22 @@ class TestPooledFit:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeries):
             pooled_fit(np.full(10, 3.0), 4)
+
+    def test_shared_prefix_sums_give_the_same_fit(self):
+        # One set of prefix sums serves every blocklength, exactly.
+        for k in range(20):
+            g = RngStream(58, k).generator()
+            T = int(g.integers(10, 400))
+            y = np.cumsum(g.standard_normal(T)) + g.normal() * np.arange(T)
+            sums = prefix_sums(y)
+            for B in {2, max(2, int(T**0.5)), max(2, int(0.2 * T)), T - 1}:
+                alone, shared = pooled_fit(y, B), pooled_fit(y, B, sums)
+                assert (alone.rho_hat, alone.phi_hat, alone.stats) == (
+                    shared.rho_hat, shared.phi_hat, shared.stats
+                )
+                assert np.array_equal(
+                    alone.centered_residuals, shared.centered_residuals
+                )
 
     def test_random_walk_matches_bruteforce(self):
         spec = DgpSpec(T=200, rho=1.0)

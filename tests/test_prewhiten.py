@@ -66,6 +66,18 @@ class TestFitPrewhiten:
         with pytest.raises(LagTooLarge):
             fit_prewhiten(np.arange(9.0), 0)
 
+    @pytest.mark.parametrize("shift", [0.0, 5.0])
+    def test_jump_at_end_is_degenerate_at_p_ge_1(self, shift):
+        # Every lag column is zero (and the level column too at shift 0),
+        # so no fit exists: a degenerate series, not a singular design.
+        y = np.zeros(100) + shift
+        y[-1] += 1.0
+        for p in (1, 2):
+            with pytest.raises(DegenerateSeries):
+                fit_prewhiten(y, p)
+        with pytest.raises(DegenerateSeries):
+            select_lag_bic(y, 5)
+
     def test_lag_too_large(self):
         y = ar1_walk(3, 30)
         with pytest.raises(LagTooLarge):

@@ -10,7 +10,16 @@ from urblock.limits import default_crit_table, normal_cdf
 from urblock.mc import DgpSpec, ErrorSpec, run_experiment, simulate_dgp
 from urblock.nuisance import kappa2_hat
 from urblock.pooled import pooled_fit
-from urblock.testkit import LagSpec, TestSpec, run_test, tau_fb, tau_sb, v_factor
+from urblock.testkit import (
+    LagSpec,
+    TestSpec,
+    evaluate,
+    run_test,
+    tau_fb,
+    tau_sb,
+    v_factor,
+    whiten,
+)
 
 from test_pooled import dyadic_series
 
@@ -262,6 +271,86 @@ class TestRunTest:
         res = run_experiment(dgp, [spec], reps=10_000, alpha=0.05, seed=903, threads=4)
         rate = float(res.rates[0])
         assert abs(rate - 0.956) <= 0.015, f"power {rate:.4f}"
+
+
+MISMATCH_SB = (
+    "variant small-b paired with fraction blocklength scheme; "
+    "asymptotics assume the natural pairing"
+)
+MISMATCH_FB = (
+    "variant fixed-b paired with power blocklength scheme; "
+    "asymptotics assume the natural pairing"
+)
+SHORT_29 = "effective sample length 29 after 2 lags is below 30"
+
+# run_test outcomes recorded before run_test was split into whiten and
+# evaluate: (series, variant, lag, statistic, reject, p, T_effective,
+# warnings).  The "swapped" series pairs each variant with the other's
+# blocklength scheme.
+FROZEN_RUN_TEST = [
+    ("ar1-T200", "small-b", "0", 1.3692749766560846, False, 0, 200, ()),
+    ("ar1-T200", "small-b", "2", -0.17980154342163288, False, 2, 198, ()),
+    ("ar1-T200", "small-b", "bic5", -0.20358020132142096, False, 1, 199, ()),
+    ("ar1-T200", "small-b", "schwert", -0.20358020132142096, False, 1, 199, ()),
+    ("ar1-T200", "fixed-b", "0", 1.3085588092097045, False, 0, 200, ()),
+    ("ar1-T200", "fixed-b", "2", 0.32296658721432764, False, 2, 198, ()),
+    ("ar1-T200", "fixed-b", "bic5", 0.2569013603179895, False, 1, 199, ()),
+    ("ar1-T200", "fixed-b", "schwert", 0.2569013603179895, False, 1, 199, ()),
+    ("stationary-T150", "small-b", "0", -2.40061132970364, True, 0, 150, ()),
+    ("stationary-T150", "small-b", "2", -3.270504006030585, True, 2, 148, ()),
+    ("stationary-T150", "small-b", "bic5", -3.3556009679866006, True, 1, 149, ()),
+    ("stationary-T150", "small-b", "schwert", -3.3556009679866006, True, 1, 149, ()),
+    ("stationary-T150", "fixed-b", "0", -1.892679486521189, True, 0, 150, ()),
+    ("stationary-T150", "fixed-b", "2", -2.1407283413791984, True, 2, 148, ()),
+    ("stationary-T150", "fixed-b", "bic5", -2.301189090600954, True, 1, 149, ()),
+    ("stationary-T150", "fixed-b", "schwert", -2.301189090600954, True, 1, 149, ()),
+    ("walk-T31-swapped", "small-b", "0", 1.4198841013711918, False, 0, 31, (MISMATCH_SB,)),
+    ("walk-T31-swapped", "small-b", "2", 1.79989682579967, False, 2, 29, (MISMATCH_SB, SHORT_29)),
+    ("walk-T31-swapped", "small-b", "bic5", 1.4198841013711918, False, 0, 31, (MISMATCH_SB,)),
+    ("walk-T31-swapped", "small-b", "schwert", 1.4198841013711918, False, 0, 31, (MISMATCH_SB,)),
+    ("walk-T31-swapped", "fixed-b", "0", 1.4534664374698847, False, 0, 31, (MISMATCH_FB,)),
+    ("walk-T31-swapped", "fixed-b", "2", 1.4160747814283088, False, 2, 29, (MISMATCH_FB, SHORT_29)),
+    ("walk-T31-swapped", "fixed-b", "bic5", 1.4534664374698847, False, 0, 31, (MISMATCH_FB,)),
+    ("walk-T31-swapped", "fixed-b", "schwert", 1.4534664374698847, False, 0, 31, (MISMATCH_FB,)),
+]
+
+FROZEN_LAGS = {
+    "0": LagSpec.fixed(0),
+    "2": LagSpec.fixed(2),
+    "bic5": LagSpec.bic(5),
+    "schwert": LagSpec.schwert(),
+}
+
+
+def frozen_series(name):
+    dgp, stream = {
+        "ar1-T200": (DgpSpec(T=200, errors=ErrorSpec("ar1", 0.5)), 0),
+        "walk-T31-swapped": (DgpSpec(T=31), 1),
+        "stationary-T150": (DgpSpec(T=150, rho=0.7, errors=ErrorSpec("ar1", 0.3)), 2),
+    }[name]
+    return simulate_dgp(dgp, RngStream(2201, stream))
+
+
+@pytest.mark.parametrize("case", FROZEN_RUN_TEST, ids=lambda c: "-".join(c[:3]))
+def test_run_test_matches_frozen_outcomes(case):
+    name, variant, lag, stat, reject, p, T_eff, warnings = case
+    schemes = [BlockScheme.power_rule(0.7), BlockScheme.fixed_fraction(0.2)]
+    if name.endswith("swapped"):
+        schemes.reverse()
+    scheme = schemes[0] if variant == "small-b" else schemes[1]
+    y = frozen_series(name)
+    spec = TestSpec(variant, scheme, FROZEN_LAGS[lag])
+    out = run_test(y, spec)
+    assert out.statistic == stat
+    assert out.reject is reject
+    d = out.diagnostics
+    assert (d["p"], d["lag_rule"], d["T_original"], d["T_effective"]) == (
+        p, lag, y.shape[0], T_eff
+    )
+    assert tuple(d.get("warnings", ())) == warnings
+    # The two halves run_test is built from give the same outcome.
+    again = evaluate(whiten(y, spec.lag), spec)
+    assert (again.statistic, again.reject, again.diagnostics) == (stat, reject, d)
 
 
 def test_rel_err_helper():
