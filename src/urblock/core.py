@@ -2,13 +2,15 @@
 
 Series values are plain 1-d float64 ndarrays throughout the package;
 :func:`as_series` is the single validation gate (length, finiteness).
-Blocklength schemes, the least-squares kernel, and the seeded stream
-contract used by every simulation live here as well.
+Blocklength schemes, the seeded stream contract used by every
+simulation and the package's one QR least-squares kernel live here as
+well; :func:`ols` factors [design | response] once, for one regression
+or a stack, and every coefficient, t-ratio and BIC score is read off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import qr, svd
@@ -27,7 +29,6 @@ __all__ = [
     "OlsFit",
     "lagged_design",
     "ols",
-    "ols_tstat_batch",
     "select_lag_bic_batch",
     "RngStream",
     "chunked_map",
@@ -152,23 +153,28 @@ class BlockScheme:
 
 @dataclass
 class OlsFit:
-    """Least-squares fit: coefficients, residuals, and scale diagnostics.
+    """Least-squares fit of one regression, or of each in a stack.
 
-    stderr holds the conventional coefficient standard errors computed
-    with s^2 = ssr / (n_obs - n_params); it is NaN-filled when the fit
-    is saturated (n_obs == n_params).
+    ``prefix_ssr[..., j]`` is the SSR of the fit on the first j of the k
+    columns (j = 0..k); ``rinv_row0`` is row 0 of R11^-1, whose squared
+    norm is [(X'X)^-1]_00.
     """
 
     coefficients: np.ndarray
-    residuals: np.ndarray
-    ssr: float
-    n_obs: int
-    n_params: int
-    stderr: np.ndarray = field(default=None, repr=False)
+    prefix_ssr: np.ndarray
+    dof: int
+    rinv_row0: np.ndarray
 
-    def tstat(self, j: int) -> float:
-        """t-ratio of coefficient j against zero."""
-        return float(self.coefficients[j] / self.stderr[j])
+    @property
+    def ssr(self):
+        return self.prefix_ssr[..., -1]
+
+    @property
+    def tstat0(self):
+        """t-ratio of coefficient 0; NaN for a saturated fit (dof = 0)."""
+        s2 = self.ssr / self.dof if self.dof else self.ssr * np.nan
+        se = np.sqrt(s2) * np.linalg.norm(self.rinv_row0, axis=-1)
+        return self.coefficients[..., 0] / se
 
 
 def lagged_design(level, lag_diffs, response_diffs, extras, p, start):
@@ -194,93 +200,56 @@ def lagged_design(level, lag_diffs, response_diffs, extras, p, start):
 
 
 def ols(design, response) -> OlsFit:
-    """Least squares via QR with an explicit numerical-rank check.
+    """Least squares read off the QR triangle R of [design | response].
 
-    Raises RankDeficient when the design's smallest singular value is
-    below RCOND_SINGULAR times its largest.  Chosen over normal
-    equations for the sake of the near-collinear Fourier regressors in
-    the baseline tests.
+    design is (n, k) with an (n,) response, or an (m, n, k) stack with
+    (m, n) responses, which gives the fit's fields a leading m axis.
+    With R = [[R11, r], [0, rho]], b solves R11 b = r, the SSR is rho^2,
+    and dropping columns j..k-1 adds r_j^2 + ... + r_{k-1}^2 (Golub & Van
+    Loan, Matrix Computations, sec. 5.3).  RankDeficient is raised when
+    R11 with unit-norm columns has a singular value ratio below
+    RCOND_SINGULAR, so no column's units matter; a zero column is singular.
     """
-    X = np.ascontiguousarray(design, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.ascontiguousarray(response, dtype=np.float64)
-    n, k = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"response shape {y.shape} does not match {n} rows")
+    X = np.asarray(design, dtype=np.float64)
+    y = np.asarray(response, dtype=np.float64)
+    n, k = X.shape[-2:]
+    if y.shape != X.shape[:-1]:
+        raise ValueError(f"response shape {y.shape} does not match design {X.shape}")
     if n < k or k < 1:
         raise ValueError(f"need rows >= cols >= 1, got {n}x{k}")
-
-    Q, R = qr(X, mode="reduced")
-    sv = svd(R, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
+    R = qr(np.concatenate([X, y[..., None]], axis=-1), mode="r")
+    if n == k:  # saturated: rho is zero and R has no row for it
+        R = np.concatenate([R, np.zeros_like(R[..., :1, :])], axis=-2)
+    R11 = R[..., :k, :k]
+    norms = np.linalg.norm(R11, axis=-2)  # the design's column norms
+    sv = svd(R11 / (norms + (norms == 0.0))[..., None, :], compute_uv=False)
+    ratio = sv[..., -1] / np.maximum(sv[..., 0], 1.0)  # sv[0] >= 1 unless X = 0
+    if ratio.min() < RCOND_SINGULAR:
+        i = np.argmin(ratio)
+        which = f" {i} of the stack" if ratio.ndim else ""
         raise RankDeficient(
-            f"design matrix is numerically singular "
-            f"(condition ratio {0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.2e})"
+            f"design matrix{which} is numerically singular "
+            f"(condition ratio {ratio.flat[i]:.2e})"
         )
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    ssr = float(resid @ resid)
-
-    if n > k:
-        s2 = ssr / (n - k)
-        Rinv = np.linalg.solve(R, np.eye(k))
-        stderr = np.sqrt(s2 * np.sum(Rinv * Rinv, axis=1))
-    else:
-        stderr = np.full(k, np.nan)
-    return OlsFit(beta, resid, ssr, n, k, stderr)
-
-
-def _qr_stack(X: np.ndarray):
-    """Reduced QR of a (m, n, k) stack of designs, with the rank check of
-    :func:`ols` applied to each one."""
-    Q, R = qr(X, mode="reduced")
-    sv = svd(R, compute_uv=False)
-    top, low = sv[:, 0], sv[:, -1]
-    ratio = low / np.where(top == 0.0, np.inf, top)  # 0 for an all-zero R
-    bad = ratio < RCOND_SINGULAR
-    if bad.any():
-        i = np.argmax(bad)
-        raise RankDeficient(
-            f"design matrix {i} of the stack is numerically singular "
-            f"(condition ratio {ratio[i]:.2e})"
-        )
-    return Q, R
-
-
-def ols_tstat_batch(designs, responses) -> np.ndarray:
-    """t-ratio of coefficient 0 in each of a (m, n, k) stack of regressions
-    on (m, n) responses, by the steps of :func:`ols` on the whole stack."""
-    n, k = designs.shape[1:]
-    Q, R = _qr_stack(designs)
-    beta = np.linalg.solve(R, Q.transpose(0, 2, 1) @ responses[..., None])
-    resid = responses - (designs @ beta)[..., 0]
-    s2 = np.einsum("mn,mn->m", resid, resid) / (n - k)
-    Rinv = np.linalg.solve(R, np.broadcast_to(np.eye(k), R.shape))
-    return beta[:, 0, 0] / np.sqrt(s2 * np.sum(Rinv[:, 0, :] ** 2, axis=1))
+    R11inv = np.linalg.inv(R11)
+    beta = (R11inv @ R[..., :k, k:])[..., 0]
+    prefix_ssr = np.cumsum(R[..., k::-1, k] ** 2, axis=-1)[..., ::-1]
+    return OlsFit(beta, prefix_ssr, n - k, R11inv[..., 0, :])
 
 
 def select_lag_bic_batch(designs, responses, k0: int) -> np.ndarray:
-    """BIC lag order of each regression in a stack, from one QR apiece.
+    """BIC lag order of each regression in a stack, from one :func:`ols`.
 
-    designs is (m, n, K): k0 always-in columns, then the lags, so lag p
-    uses the first k0 + p columns.  SSR(p) is SSR(K - k0) plus the squares
-    of (Q'y)_j for j >= k0 + p (Golub & Van Loan, Matrix Computations,
-    sec. 5.3); BIC(p) = n*ln(SSR/n) + (k0+p)*ln(n), -inf at SSR = 0, and
-    ties go to the smaller p.  By singular-value interlacing no column
-    prefix is worse conditioned than the full design, so checking it
-    alone raises RankDeficient exactly when some candidate's fit would.
+    designs is (n, K) or (m, n, K): k0 always-in columns, then the lags.
+    BIC(p) = n*ln(SSR/n) + (k0+p)*ln(n) over the first k0 + p columns,
+    -inf at SSR = 0; ties go to the smaller p.  By interlacing, the full
+    design's rank check raises exactly when some candidate's would.
     """
-    n, K = designs.shape[1:]
-    Q, _R = _qr_stack(designs)
-    qty = np.einsum("mnk,mn->mk", Q, responses)
-    resid = responses - np.einsum("mnk,mk->mn", Q, qty)
-    tail = np.cumsum(qty[:, k0:][:, ::-1] ** 2, axis=1)[:, ::-1]
-    ssr = np.einsum("mn,mn->m", resid, resid)[:, None]
-    ssr = ssr + np.pad(tail, ((0, 0), (0, 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n, K = designs.shape[-2:]
+    ssr = ols(designs, responses).prefix_ssr[..., k0:]
+    with np.errstate(divide="ignore"):
         bic = np.where(ssr > 0.0, n * np.log(ssr / n), -np.inf)
-    return np.argmin(bic + (k0 + np.arange(K - k0 + 1)) * np.log(n), axis=1)
+    return np.argmin(bic + (k0 + np.arange(K - k0 + 1)) * np.log(n), axis=-1)
 
 
 _MASK64 = (1 << 64) - 1

@@ -72,9 +72,10 @@ class CritTable:
     reps: int
     seed: int
 
-    def critical_value(self, b: float, alpha: float) -> float:
+    def critical_value(self, b: float, alpha: float, slack: float = 1e-12) -> float:
+        """Quantile at b, linear in b; reads the edge up to ``slack`` outside."""
         bmin, bmax = self.b_grid[0], self.b_grid[-1]
-        if not bmin - 1e-12 <= b <= bmax + 1e-12:
+        if not bmin - slack <= b <= bmax + slack:
             raise ValueError(
                 f"b={b:g} outside tabulated range [{bmin:g}, {bmax:g}]; "
                 "extrapolation is not supported"

@@ -83,7 +83,7 @@ def select_lag_bic(series, p_max: int) -> int:
     All candidates are fitted over t = p_max+2..T (n = T - p_max - 1
     observations) so their sums of squared residuals are comparable;
     BIC(p) = n*ln(SSR/n) + (p+1)*ln(n).  Ties break toward smaller p.
-    Every candidate is a column prefix of the p_max design, so one QR
+    Every candidate is a column prefix of the p_max design, so one fit
     of that design scores them all.  A design column that is
     identically zero raises DegenerateSeries.
     """
@@ -97,8 +97,7 @@ def select_lag_bic(series, p_max: int) -> int:
     d = np.diff(y)
     if not np.any(d):
         raise DegenerateSeries("series is constant; lag selection undefined")
-    design, response = _lag_design(y, d, p_max)
-    return int(select_lag_bic_batch(design[None], response[None], 1)[0])
+    return int(select_lag_bic_batch(*_lag_design(y, d, p_max), 1))
 
 
 def schwert_pmax(T: int) -> int:

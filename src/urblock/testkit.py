@@ -176,7 +176,8 @@ def tau_fb(
 
     sigma comes from the original series' residuals (the transform never
     re-estimates it); the critical value is read from the fixed-b table
-    at b = B / T with linear interpolation in b.  No p-value is defined.
+    at b = B / T, linear in b; a b up to 1/T outside the table (as B =
+    floor(bT) can give) reads its nearest edge.  No p-value is defined.
     ``sums`` are the original series' prefix sums, if built.
     """
     y = as_series(series)
@@ -201,7 +202,7 @@ def tau_fb(
     if table is None:
         table = default_crit_table()
     b = B / T
-    crit = table.critical_value(b, alpha)
+    crit = table.critical_value(b, alpha, slack=1.0 / T)
     return TestOutcome(
         statistic=float(stat),
         critical_value=crit,

@@ -66,6 +66,15 @@ class TestStatRoutes:
             assert rel_err(_stat(kind, 3.0 * y, 1), base) < 1e-8
             assert rel_err(_stat(kind, 0.02 * y - 7.0, 1), base) < 1e-8
 
+    def test_large_scale_and_offset_pass_rank_check(self):
+        # The rank check equilibrates the design's columns, so neither
+        # the units of y nor a level offset reads as collinearity.
+        y = walk(0, 200)
+        for kind in ("adf", "el"):
+            base = _stat(kind, y, 1)
+            assert rel_err(_stat(kind, y * 1e12, 1), base) < 1e-12
+            assert rel_err(_stat(kind, y + 1e8, 1), base) < 1e-8
+
     def test_gls_detrend_exact_line_degenerate(self):
         t = np.arange(1.0, 41.0)
         with pytest.raises(DegenerateSeries, match="deterministic"):

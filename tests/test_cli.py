@@ -97,6 +97,13 @@ class TestTestCommand:
         assert "statistic" in out and "critical value" in out
         assert "decision" in out and "diagnostics" in out
 
+    def test_tau_fb_b_at_table_edge(self, tmp_path, capsys):
+        # B = floor(0.1 * 299) = 29 gives b just below the table's 0.1.
+        p = tmp_path / "y.csv"
+        write_walk(p, T=299)
+        rc = main(["test", str(p), "--test", "tau-fb", "--b", "0.1", "--lags", "0"])
+        assert rc == 0, capsys.readouterr().err
+
     def test_csv_output(self, tmp_path, capsys):
         p = tmp_path / "y.csv"
         write_walk(p, T=150)

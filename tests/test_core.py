@@ -11,7 +11,6 @@ from urblock.core import (
     as_series,
     chunked_map,
     ols,
-    ols_tstat_batch,
     select_lag_bic_batch,
 )
 from urblock.limits import _crit_chunk
@@ -96,7 +95,8 @@ class TestOls:
         fit = ols([[1.0], [1.0], [1.0]], [2.0, 4.0, 6.0])
         assert fit.coefficients == pytest.approx([4.0], abs=1e-12)
         assert fit.ssr == pytest.approx(8.0, abs=1e-10)
-        assert fit.n_obs == 3 and fit.n_params == 1
+        # No columns: the SSR is the response's sum of squares.
+        assert fit.prefix_ssr == pytest.approx([56.0, 8.0], rel=1e-12)
 
     def test_exact_line(self):
         fit = ols([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], [1.0, 2.0, 3.0])
@@ -106,46 +106,90 @@ class TestOls:
     def test_collinear(self):
         with pytest.raises(RankDeficient):
             ols([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [1.0, 1.0, 2.0])
+        # An all-zero column is singular, whatever the other columns.
+        with pytest.raises(RankDeficient):
+            ols([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], [1.0, 1.0, 2.0])
+        with pytest.raises(RankDeficient):
+            ols(np.zeros((3, 1)), [1.0, 1.0, 2.0])
+
+    def test_column_scale_does_not_trip_rank_check(self):
+        # Raw R has condition ratio ~1e-24 here; the equilibrated check
+        # sees the well-conditioned design beneath the units.
+        g = RngStream(7, 0).generator()
+        X = g.standard_normal((40, 3))
+        y = g.standard_normal(40)
+        Xs = X * [1e12, 1.0, 1e-12]
+        fit, scaled = ols(X, y), ols(Xs, y)
+        assert scaled.coefficients * [1e12, 1.0, 1e-12] == pytest.approx(
+            fit.coefficients, rel=1e-10
+        )
+        assert scaled.tstat0 == pytest.approx(fit.tstat0, rel=1e-10)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ols([[1.0], [1.0]], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             ols(np.ones((2, 3)), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            ols(np.ones((4, 10, 2)), np.ones((3, 10)))
 
-    def test_residuals_and_ssr_consistent(self):
+    @staticmethod
+    def _lstsq(X, y):
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        resid = y - X @ beta
+        return beta, float(resid @ resid)
+
+    def test_matches_lstsq(self):
         g = RngStream(5, 0).generator()
-        X = g.standard_normal((40, 3))
-        y = g.standard_normal(40)
-        fit = ols(X, y)
-        assert fit.residuals.shape == (fit.n_obs,)
-        assert fit.ssr == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-10)
-        assert np.allclose(X @ fit.coefficients + fit.residuals, y, atol=1e-10)
-
-    def test_residual_orthogonality(self):
         for k in range(20):
-            g = RngStream(6, k).generator()
             n = int(g.integers(10, 60))
-            p = int(g.integers(1, 5))
+            p = int(g.integers(1, 6))
             X = g.standard_normal((n, p))
-            y = g.standard_normal(n)
+            y = X @ g.standard_normal(p) + g.standard_normal(n)
             fit = ols(X, y)
-            bound = 1e-8 * np.linalg.norm(X) * np.linalg.norm(y)
-            assert np.max(np.abs(X.T @ fit.residuals)) < bound
+            beta, ssr = self._lstsq(X, y)
+            assert np.allclose(fit.coefficients, beta, rtol=1e-12, atol=0)
+            assert fit.ssr == pytest.approx(ssr, rel=1e-12)
+        X = g.standard_normal((30, 40, 4))
+        y = X[:, :, 0] + g.standard_normal((30, 40))
+        fit = ols(X, y)
+        assert fit.coefficients.shape == (30, 4) and fit.ssr.shape == (30,)
+        for i in range(30):
+            beta, ssr = self._lstsq(X[i], y[i])
+            assert np.allclose(fit.coefficients[i], beta, rtol=1e-12, atol=0)
+            assert fit.ssr[i] == pytest.approx(ssr, rel=1e-12)
+
+    def test_stack_rows_match_single_fits(self):
+        g = RngStream(6, 0).generator()
+        X = g.standard_normal((25, 50, 5))
+        y = X[:, :, 1] + g.standard_normal((25, 50))
+        stack = ols(X, y)
+        for i in range(25):
+            one = ols(X[i], y[i])
+            assert np.array_equal(stack.coefficients[i], one.coefficients)
+            assert stack.ssr[i] == one.ssr
+            assert stack.tstat0[i] == one.tstat0
+            assert np.array_equal(stack.prefix_ssr[i], one.prefix_ssr)
 
     def test_tstat_known_case(self):
         fit = ols([[1.0]] * 4, [1.0, 2.0, 3.0, 4.0])
         # coef 2.5, ssr 5, s2 = 5/3, var(beta) = s2/4, t = 2.5/sqrt(5/12)
-        assert fit.tstat(0) == pytest.approx(2.5 / np.sqrt(5.0 / 12.0), rel=1e-12)
+        assert fit.tstat0 == pytest.approx(2.5 / np.sqrt(5.0 / 12.0), rel=1e-12)
 
     def test_saturated_fit_has_nan_stderr(self):
+        # No residual degrees of freedom: the coefficients are exact, the
+        # standard error and so the t-ratio are undefined.
         fit = ols([[1.0, 0.0], [0.0, 1.0]], [3.0, 4.0])
-        assert np.all(np.isnan(fit.stderr))
+        assert fit.coefficients == pytest.approx([3.0, 4.0], abs=1e-12)
+        assert fit.ssr == 0.0
+        assert np.isnan(fit.tstat0)
 
     def test_olsfit_dataclass_fields(self):
         fit = ols([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0])
         assert isinstance(fit, OlsFit)
-        assert fit.stderr.shape == (1,)
+        assert fit.coefficients.shape == (1,)
+        assert fit.prefix_ssr.shape == (2,)
+        assert fit.prefix_ssr[-1] == fit.ssr
 
 
 class TestBatchedKernels:
@@ -184,19 +228,22 @@ class TestBatchedKernels:
         X[3, :, 3] = X[3, :, 1]
         with pytest.raises(RankDeficient):
             select_lag_bic_batch(X, y, 1)
-        with pytest.raises(RankDeficient):
-            ols_tstat_batch(X, y)
+        with pytest.raises(RankDeficient, match="3 of the stack"):
+            ols(X, y)
         with pytest.raises(RankDeficient):
             ols(X[3], y[3])
         select_lag_bic_batch(np.delete(X, 3, axis=0), np.delete(y, 3, axis=0), 1)
 
     def test_tstat_matches_ols(self):
+        # The stacked t-ratio against the textbook formula
+        # beta_0 / sqrt(s^2 [(X'X)^-1]_00), fitted by lstsq.
         g = RngStream(152, 0).generator()
         X = g.standard_normal((50, 35, 4))
         y = X[:, :, 1] + g.standard_normal((50, 35))
-        got = ols_tstat_batch(X, y)
+        got = ols(X, y).tstat0
         for t, Xi, yi in zip(got, X, y):
-            want = ols(Xi, yi).tstat(0)
+            beta, ssr = TestOls._lstsq(Xi, yi)
+            want = beta[0] / np.sqrt(ssr / (35 - 4) * np.linalg.inv(Xi.T @ Xi)[0, 0])
             assert abs(t - want) <= 1e-12 * max(1.0, abs(want))
 
 

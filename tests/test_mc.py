@@ -225,6 +225,18 @@ class TestRunExperiment:
         with pytest.raises(UrblockError, match="failed on"):
             run_experiment(DgpSpec(T=30), [spec], reps=50, seed=1)
 
+    def test_fb_cell_at_table_edge_completes(self):
+        # AR(1) errors make BIC pick p >= 1; whitening then leaves T - p
+        # points, so b = 0.1 resolves to a B/T just below the table's
+        # first row.
+        res = run_experiment(
+            DgpSpec(T=300, errors=ErrorSpec("ar1", 0.5)),
+            [parse_test_id("tau-fb:b=0.1:p=bic5")],
+            reps=50,
+            seed=5203,
+        )
+        assert np.array_equal(res.failures, [0])
+
     def test_input_validation(self):
         dgp = DgpSpec(T=60)
         ok = [parse_test_id("tau-sb")]
