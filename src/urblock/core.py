@@ -173,8 +173,8 @@ class OlsFit:
     def tstat0(self):
         """t-ratio of coefficient 0; NaN for a saturated fit (dof = 0)."""
         s2 = self.ssr / self.dof if self.dof else self.ssr * np.nan
-        se = np.sqrt(s2) * np.linalg.norm(self.rinv_row0, axis=-1)
-        return self.coefficients[..., 0] / se
+        r0 = self.rinv_row0
+        return self.coefficients[..., 0] / np.sqrt(s2 * (r0 * r0).sum(axis=-1))
 
 
 def lagged_design(level, lag_diffs, response_diffs, extras, p, start):
@@ -221,10 +221,10 @@ def ols(design, response) -> OlsFit:
     if n == k:  # saturated: rho is zero and R has no row for it
         R = np.concatenate([R, np.zeros_like(R[..., :1, :])], axis=-2)
     R11 = R[..., :k, :k]
-    norms = np.linalg.norm(R11, axis=-2)  # the design's column norms
+    norms = np.sqrt((R11 * R11).sum(axis=-2))  # the design's column norms
     sv = svd(R11 / (norms + (norms == 0.0))[..., None, :], compute_uv=False)
     ratio = sv[..., -1] / np.maximum(sv[..., 0], 1.0)  # sv[0] >= 1 unless X = 0
-    if ratio.min() < RCOND_SINGULAR:
+    if (ratio < RCOND_SINGULAR).any():
         i = np.argmin(ratio)
         which = f" {i} of the stack" if ratio.ndim else ""
         raise RankDeficient(
