@@ -7,27 +7,31 @@ test's own sample size with 100,000 replications under a fixed internal
 seed, and cached on disk, at six decimals, in the ``urblock-basetable
 v1`` format.
 
-Every per-series regression (detrending, lag choice, statistic) goes
-through the QR kernel ``core.ols``.  Null tables are built over (reps,
-T) chunks of replications, detrended by normal equations.  BIC tables
-then pick each replication's lag and fit its statistic with ``ols`` on
-a stack of designs.  Fixed-lag tables fit by normal equations too
-(``_batched_tstat``): their null designs are well conditioned, and a
-100,000-replication build runs 10-70% faster than by stacked QR (adf at
-T=300, el at T=100).  Those builds dominate a cold table cache.  The
-test suite cross-checks both table routes against the per-series path.
+One builder, ``_regression_parts``, makes every test regression: it
+detrends one series or each row of a (reps, T) batch with one QR of the
+deterministic design they all share, and ``core.lagged_design`` lays out
+the lags.  A series' fixed-lag statistic is fitted by the QR kernel
+``core.ols``.  BIC picks each row's lag from one ``ols`` of its p_max
+design and fits the statistic at that lag with ``ols`` on a stack; a
+series' BIC test is that route on a batch of one.  Only the fixed-lag
+null tables fit by normal equations (``_batched_tstat``): their null
+designs are well conditioned, and a 100,000-replication build runs
+10-70% faster than by stacked QR (adf at T=300, el at T=100).  Those
+builds dominate a cold table cache.  The test suite checks both fits
+against each other.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSeries, RngStream, as_series, lagged_design, ols
-from .core import select_lag_bic_batch
+from .core import DegenerateSeries, RngStream, as_series, check_bic_rows
+from .core import lagged_design, ols, select_lag_bic_batch
 from .limits import table_dir
 from .testkit import LagSpec, TestOutcome
 
@@ -85,128 +89,72 @@ class BaselineSpec:
 # test regressions
 
 
-def _gls_detrend(y: np.ndarray, trend: bool) -> np.ndarray:
-    """Local-to-unity GLS demeaning/detrending; keeps the first row as is."""
-    T = y.shape[0]
-    cbar = CBAR_TREND if trend else CBAR_CONST
-    alpha_star = 1.0 - cbar / T
-    t = np.arange(1, T + 1, dtype=np.float64)
-    z = np.column_stack([np.ones(T), t]) if trend else np.ones((T, 1))
-    yc = np.empty(T)
-    yc[0] = y[0]
-    yc[1:] = y[1:] - alpha_star * y[:-1]
-    zc = np.empty_like(z)
-    zc[0] = z[0]
-    zc[1:] = z[1:] - alpha_star * z[:-1]
-    beta = ols(zc, yc).coefficients
-    detrended = y - z @ beta
+@functools.lru_cache(maxsize=32)
+def _deterministics(kind: str, T: int):
+    """(terms, design, P) of a kind's detrending at sample size T.
 
-    dev = detrended - detrended.mean()
-    ydev = y - y.mean()
-    if float(dev @ dev) <= 1e-20 * max(1.0, float(ydev @ ydev)):
-        raise DegenerateSeries(
-            "GLS detrending leaves a numerically zero series; "
-            "the deterministic part fits exactly"
-        )
-    return detrended
+    ``terms`` (k, T) are the deterministic components, ``design`` the
+    (quasi-)differenced terms the kind regresses the (quasi-)differenced
+    series x on, and P gives each series' coefficients b = x @ P.  Every
+    series shares the design, so one QR of it, design = QR, serves them
+    all: b = R^-1 Q'x, that is P = Q R^-T.
+    """
+    t = np.arange(1.0, T + 1.0)
+    if kind == "el":
+        terms = np.stack([t, np.sin(2.0 * np.pi * t / T), np.cos(2.0 * np.pi * t / T)])
+        design = np.diff(terms).T  # [1, dsin, dcos]
+    else:
+        terms = np.stack([np.ones(T), t]) if kind.endswith("trend") else np.ones((1, T))
+        design = _quasi_diff(terms, _gls_alpha(kind, T)).T
+    q, r = np.linalg.qr(design)
+    return terms, design, q @ np.linalg.inv(r).T
 
 
-def _fourier_terms(T: int):
-    t = np.arange(1, T + 1, dtype=np.float64)
-    s = np.sin(2.0 * np.pi * t / T)
-    c = np.cos(2.0 * np.pi * t / T)
-    return t, s, c
+def _gls_alpha(kind: str, T: int) -> float:
+    return 1.0 - (CBAR_TREND if kind.endswith("trend") else CBAR_CONST) / T
 
 
-def _el_detrend(y: np.ndarray):
-    """Stage-1 Fourier detrending of the Enders-Lee procedure."""
-    T = y.shape[0]
-    t, s, c = _fourier_terms(T)
-    d = np.diff(y)
-    ds = np.diff(s)
-    dc = np.diff(c)
-    stage1 = np.column_stack([np.ones(T - 1), ds, dc])
-    delta = ols(stage1, d).coefficients
-    dtrend = delta[0] * t + delta[1] * s + delta[2] * c
-    stilde = y - dtrend - (y[0] - dtrend[0])
-    return stilde, ds, dc
+def _quasi_diff(x, a: float):
+    """x_t - a x_{t-1} along the last axis, keeping the first value."""
+    return np.concatenate([x[..., :1], x[..., 1:] - a * x[..., :-1]], axis=-1)
+
+
+def _row_ss(x):
+    """Each row's sum of squares about its mean, in one pass with no
+    (reps, T) temporary; a mean far above the spread costs digits, which
+    a 1e-20 degeneracy threshold does not notice."""
+    s = x.sum(axis=-1)
+    return np.einsum("...t,...t->...", x, x) - s * s / x.shape[-1]
 
 
 def _regression_parts(kind: str, y: np.ndarray):
-    """(level, lag_diffs, response_diffs, extras) of one series' test
-    regression, detrended with the QR kernel."""
-    T = y.shape[0]
+    """(level, lag_diffs, response_diffs, extras) of the test regression
+    of one series (T,) or of each row of a (reps, T) batch."""
+    T = y.shape[-1]
     if kind == "adf":
         d = np.diff(y)
         return y, d, d, [np.ones(T - 1)]
-    if kind in ("df-gls", "df-gls-trend"):
-        yd = _gls_detrend(y, kind.endswith("trend"))
+    if kind == "el":  # stage 1: Fourier terms fitted to the differences
+        d = np.diff(y)
+        terms, design, P = _deterministics(kind, T)
+        st = y - (d @ P) @ terms
+        st -= st[..., :1]
+        return st, np.diff(st), d, design.T
+    if kind in ("df-gls", "df-gls-trend"):  # local-to-unity GLS detrending
+        terms, _design, P = _deterministics(kind, T)
+        yd = y - (_quasi_diff(y, _gls_alpha(kind, T)) @ P) @ terms
+        if np.any(_row_ss(yd) <= 1e-20 * _row_ss(y)):
+            raise DegenerateSeries(
+                "GLS detrending leaves a numerically zero series; "
+                "the deterministic part fits exactly"
+            )
         dd = np.diff(yd)
-        return yd, dd, dd, []
-    if kind == "el":
-        stilde, ds, dc = _el_detrend(y)
-        return stilde, np.diff(stilde), np.diff(y), [np.ones(T - 1), ds, dc]
+        return yd, dd, dd, ()
     raise ValueError(f"unknown baseline kind {kind!r}")
-
-
-def _batch_parts(kind: str, y: np.ndarray):
-    """(level, lag_diffs, response_diffs, extras) for a (reps, T) batch of
-    null series, detrended with normal equations; extras is (k, reps, T-1)."""
-    m, T = y.shape
-    d = np.diff(y, axis=1)
-
-    def extras(*cols):
-        k = len(cols)
-        return np.broadcast_to(np.reshape(cols, (k, 1, T - 1)), (k, m, T - 1))
-
-    if kind == "adf":
-        return y, d, d, extras(np.ones(T - 1))
-
-    if kind in ("df-gls", "df-gls-trend"):
-        trend = kind.endswith("trend")
-        cbar = CBAR_TREND if trend else CBAR_CONST
-        alpha_star = 1.0 - cbar / T
-        tt = np.arange(1, T + 1, dtype=np.float64)
-        z = np.column_stack([np.ones(T), tt]) if trend else np.ones((T, 1))
-        zc = np.vstack([z[0], z[1:] - alpha_star * z[:-1]])
-        yc = np.hstack([y[:, :1], y[:, 1:] - alpha_star * y[:, :-1]])
-        beta = np.linalg.solve(zc.T @ zc, zc.T @ yc.T).T
-        yd = y - beta @ z.T
-        dd = np.diff(yd, axis=1)
-        return yd, dd, dd, extras()
-
-    if kind == "el":
-        tt, s, c = _fourier_terms(T)
-        ds = np.diff(s)
-        dc = np.diff(c)
-        stage1 = np.column_stack([np.ones(T - 1), ds, dc])
-        delta = np.linalg.solve(stage1.T @ stage1, stage1.T @ d.T).T
-        dtrend = delta[:, :1] * tt + delta[:, 1:2] * s + delta[:, 2:3] * c
-        st = y - dtrend - (y[:, :1] - dtrend[:, :1])
-        return st, np.diff(st, axis=1), d, extras(np.ones(T - 1), ds, dc)
-
-    raise ValueError(f"unknown baseline kind {kind!r}")
-
-
-def _check_pmax(T: int, p_max: int) -> None:
-    if T - p_max < 20:
-        raise ValueError(f"p_max={p_max} leaves too few rows at T={T}")
-
-
-# ---------------------------------------------------------------------------
-# scalar statistic path (QR kernel)
 
 
 def _stat(kind: str, y: np.ndarray, p: int) -> float:
     return ols(*lagged_design(*_regression_parts(kind, y), p, p)).tstat0
-
-
-def _select_lag(kind: str, y: np.ndarray, p_max: int) -> int:
-    """BIC over the test's own regression on a common sample."""
-    _check_pmax(y.shape[0], p_max)
-    parts = _regression_parts(kind, y)
-    design, resp = lagged_design(*parts, p_max, p_max)
-    return int(select_lag_bic_batch(design, resp, 1 + len(parts[3])))
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +177,6 @@ def _batched_tstat(X, resp) -> np.ndarray:
     return beta[:, 0] / np.sqrt(s2 * ginv00)
 
 
-def _batch_stats(kind: str, y: np.ndarray, p: int) -> np.ndarray:
-    """Fixed-lag statistics for a (reps, T) batch of null series."""
-    return _batched_tstat(*lagged_design(*_batch_parts(kind, y), p, p))
-
-
 def _batch_bic_stats(kind: str, y: np.ndarray, p_max: int):
     """Statistics at each series' BIC lag for a (reps, T) batch, and the lags.
 
@@ -241,15 +184,15 @@ def _batch_bic_stats(kind: str, y: np.ndarray, p_max: int):
     statistic is then fitted on the sample that :func:`_stat` uses at
     that lag, one stack per selected lag.
     """
-    _check_pmax(y.shape[1], p_max)
-    parts = _batch_parts(kind, y)
+    check_bic_rows(y.shape[1], p_max)
+    level, lag_diffs, resp, extras = _regression_parts(kind, y)
     chosen = select_lag_bic_batch(
-        *lagged_design(*parts, p_max, p_max), 1 + len(parts[3])
+        *lagged_design(level, lag_diffs, resp, extras, p_max, p_max), 1 + len(extras)
     )
     stats = np.empty(y.shape[0])
     for p in np.unique(chosen):
         rows = chosen == p
-        sub = [a[..., rows, :] for a in parts]
+        sub = level[rows], lag_diffs[rows], resp[rows], extras
         stats[rows] = ols(*lagged_design(*sub, p, p)).tstat0
     return stats, chosen
 
@@ -267,7 +210,13 @@ def _simulate_null_stats(kind: str, T: int, lag: LagSpec, reps: int, seed: int):
         g = RngStream(seed, ci).generator()
         y = np.cumsum(g.standard_normal((m, T)), axis=1)
         if lag.kind == "fixed":
-            out[pos : pos + m] = _batch_stats(kind, y, lag.value)
+            # The design holds all the fit needs: dropping the draws before
+            # the fit, and the design before the next chunk's draws, lowers
+            # the build's peak memory.
+            design = lagged_design(*_regression_parts(kind, y), lag.value, lag.value)
+            del y
+            out[pos : pos + m] = _batched_tstat(*design)
+            del design
         else:
             step = max(1, _BIC_SUB_BATCH_CELLS // T)
             for s in range(0, m, step):
@@ -383,8 +332,13 @@ def _run(kind: str, series, lag, alpha: float, crit=None) -> TestOutcome:
     lag = LagSpec.coerce(lag)
     y = as_series(series, min_length=_MIN_T[kind])
     T = y.shape[0]
-    p = lag.value if lag.kind == "fixed" else _select_lag(kind, y, lag.value)
-    stat = _stat(kind, y, p)
+    if np.ptp(y) == 0.0:
+        raise DegenerateSeries("series is constant; test regression undefined")
+    if lag.kind == "fixed":
+        p, stat = lag.value, _stat(kind, y, lag.value)
+    else:
+        stats, chosen = _batch_bic_stats(kind, y[None], lag.value)
+        p, stat = int(chosen[0]), stats[0]
     if crit is None:
         crit = baseline_critical_value(kind, T, lag, alpha)
     return TestOutcome(

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSeries, LagTooLarge, as_series, lagged_design
-from .core import ols, select_lag_bic_batch
+from .core import DegenerateSeries, LagTooLarge, as_series, check_bic_rows
+from .core import lagged_design, ols, select_lag_bic_batch
 
 __all__ = ["PrewhitenFit", "fit_prewhiten", "select_lag_bic", "schwert_pmax"]
 
@@ -36,17 +36,6 @@ class PrewhitenFit:
     p: int
     theta_hat: np.ndarray
     whitened: np.ndarray
-
-
-def _lag_design(y, d, p):
-    """The augmented regression with p lags; an identically zero column
-    (a series flat up to its last steps) leaves every fit undefined."""
-    design, response = lagged_design(y, d, d, (), p, p)
-    if not design.any(axis=0).all():
-        raise DegenerateSeries(
-            f"series is constant over the lag regression's sample (p={p})"
-        )
-    return design, response
 
 
 def fit_prewhiten(series, p: int) -> PrewhitenFit:
@@ -70,7 +59,7 @@ def fit_prewhiten(series, p: int) -> PrewhitenFit:
         raise DegenerateSeries("series is constant; regression undefined")
     if p == 0:
         return PrewhitenFit(p=0, theta_hat=np.empty(0), whitened=y)
-    theta = ols(*_lag_design(y, d, p)).coefficients[1:].copy()
+    theta = ols(*lagged_design(y, d, d, (), p, p)).coefficients[1:].copy()
     whitened = y[p:].copy()
     for k in range(1, p + 1):
         whitened -= theta[k - 1] * y[p - k : T - k]
@@ -92,12 +81,11 @@ def select_lag_bic(series, p_max: int) -> int:
     p_max = int(p_max)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    if T - p_max < 20:
-        raise LagTooLarge(f"p_max={p_max} leaves fewer than 20 rows at T={T}")
+    check_bic_rows(T, p_max)
     d = np.diff(y)
     if not np.any(d):
         raise DegenerateSeries("series is constant; lag selection undefined")
-    return int(select_lag_bic_batch(*_lag_design(y, d, p_max), 1))
+    return int(select_lag_bic_batch(*lagged_design(y, d, d, (), p_max, p_max), 1))
 
 
 def schwert_pmax(T: int) -> int:

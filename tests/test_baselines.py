@@ -9,9 +9,9 @@ from urblock.baselines import (
     NULL_TABLE_SEED,
     BaselineSpec,
     _batch_bic_stats,
-    _batch_stats,
+    _batched_tstat,
     _cache_path,
-    _select_lag,
+    _regression_parts,
     _stat,
     adf,
     baseline_critical_value,
@@ -19,7 +19,7 @@ from urblock.baselines import (
     enders_lee,
     run_baseline,
 )
-from urblock.core import DegenerateSeries, RngStream
+from urblock.core import DegenerateSeries, LagTooLarge, RngStream, lagged_design
 from urblock.mc import DgpSpec, ErrorSpec, TrendSpec, run_experiment
 from urblock.testkit import LagSpec
 
@@ -35,27 +35,32 @@ class TestStatRoutes:
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     @pytest.mark.parametrize("p", [0, 2])
     def test_batch_equals_single(self, kind, p):
+        # Both routes detrend with the same builder; only the fixed-lag
+        # tables' t-ratio fit (normal equations, not QR) differs.
         g = RngStream(4100, 0).generator()
         Y = np.cumsum(g.standard_normal((12, 60)), axis=1)
-        batch = _batch_stats(kind, Y, p)
+        batch = _batched_tstat(*lagged_design(*_regression_parts(kind, Y), p, p))
         single = np.array([_stat(kind, row, p) for row in Y])
         assert batch.shape == (12,)
         for a, b in zip(batch, single):
-            assert rel_err(a, b) < 1e-8, kind
+            assert rel_err(a, b) < 1e-12, kind
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     @pytest.mark.parametrize("T", [60, 100, 300])
     def test_bic_route_matches_candidate_loop(self, bic_panels, kind, T):
-        # Both BIC routes pick the candidate loop's lag; the BIC table's
-        # statistics are the one-series statistics at that lag.
+        # A series' BIC test and the BIC table pick the candidate loop's
+        # lag; both give the fixed-lag statistic at that lag.
         Y = bic_panels[T]
         want = [baseline_lag_bic_loop(kind, y, 5) for y in Y]
-        assert [_select_lag(kind, y, 5) for y in Y] == want
+        spec = BaselineSpec(kind, LagSpec.bic(5))
+        outs = [run_baseline(y, spec, critical_value=0.0) for y in Y]
+        assert [out.diagnostics["p"] for out in outs] == want
         stats, chosen = _batch_bic_stats(kind, Y, 5)
         assert chosen.tolist() == want
         assert len(set(want)) >= 3
         single = np.array([_stat(kind, y, p) for y, p in zip(Y, want)])
         assert np.all(np.abs(stats - single) <= 1e-12 * np.maximum(1.0, np.abs(single)))
+        assert [out.statistic for out in outs] == pytest.approx(single, rel=1e-12)
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_shift_and_scale_invariance(self, kind):
@@ -79,6 +84,28 @@ class TestStatRoutes:
         t = np.arange(1.0, 41.0)
         with pytest.raises(DegenerateSeries, match="deterministic"):
             df_gls(0.5 + 0.3 * t, trend=True)
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_constant_series_degenerate(self, kind):
+        spec = BaselineSpec(kind, LagSpec.fixed(0))
+        for c in (0.0, 0.1, 5.0):
+            with pytest.raises(DegenerateSeries):
+                run_baseline(np.full(60, c), spec, critical_value=0.0)
+
+    @pytest.mark.parametrize("kind", ["df-gls", "df-gls-trend"])
+    def test_gls_degeneracy_test_is_scale_free(self, kind):
+        # The detrended series is compared with the series' own spread,
+        # so a tiny unit is not mistaken for an exact deterministic fit.
+        y = walk(0, 200)
+        spec = BaselineSpec(kind, LagSpec.fixed(1))
+        base = run_baseline(y, spec, critical_value=0.0).statistic
+        tiny = run_baseline(y * 1e-12, spec, critical_value=0.0).statistic
+        assert rel_err(tiny, base) < 1e-12
+
+    def test_bic_lag_cap_too_large(self):
+        # T - p_max < 20 is the bound of every BIC lag search.
+        with pytest.raises(LagTooLarge, match="fewer than 20 rows"):
+            adf(walk(0, 40), LagSpec.bic(30))
 
     def test_min_length_guards(self):
         y24, y29 = walk(0, 24), walk(0, 29)
@@ -141,6 +168,7 @@ class TestOutcomeContract:
         out = run_baseline(y, BaselineSpec("adf", LagSpec.bic(5)))
         p = out.diagnostics["p"]
         assert 0 <= p <= 5
+        assert p == baseline_lag_bic_loop("adf", y, 5)
         assert out.diagnostics["lag_rule"] == "bic5"
         assert out.statistic == _stat("adf", y, p)
         assert out.reject == (out.statistic < out.critical_value)

@@ -133,11 +133,25 @@ class TestTestCommand:
         assert rc == 3
         assert "constant within every block" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lags", ["bic", "2"])
-    @pytest.mark.parametrize("test", ["tau-sb", "tau-fb"])
+    @pytest.mark.parametrize(
+        "test,lags",
+        [
+            ("tau-sb", "bic"),
+            ("tau-sb", "2"),
+            ("tau-fb", "bic"),
+            ("tau-fb", "2"),
+            ("adf", "0"),
+            ("adf", "2"),
+            ("adf", "bic"),
+            ("df-gls", "2"),
+            ("df-gls", "bic"),
+        ],
+    )
     def test_jump_at_end_degenerate_with_lags(self, tmp_path, capsys, test, lags):
-        # The lag regression's columns are all zero: lag selection and
-        # whitening find the series degenerate rather than singular.
+        # A column of the lag regression is all zero (the level before
+        # the jump, or its lagged differences): lag selection, whitening
+        # and the reference tests find the series degenerate rather than
+        # singular.
         p = tmp_path / "jump.csv"
         p.write_text("\n".join(["0"] * 99 + ["1"]) + "\n")
         rc = main(["test", str(p), "--test", test, "--lags", lags])
